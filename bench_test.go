@@ -463,15 +463,49 @@ func BenchmarkEmulator(b *testing.B) {
 	}
 }
 
-func BenchmarkUarchSim(b *testing.B) {
-	w, _ := workload.ByName("compress")
-	p, _ := w.Build(workload.Train)
-	cfg := uarch.DefaultConfig()
-	params := power.DefaultParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Run(p, cfg, params, power.GateSoftware); err != nil {
+// BenchmarkUarchReplayMIPS reports the timing and power model's speed in
+// simulated millions of instructions per second, fed the way the suite
+// feeds it: ReplayModes over the captured ref-input trace of every
+// kernel. Sub-benchmarks cover a one-mode bank (software gating) and a
+// two-mode bank (the hardware-scheme group, as Figures 13/14 fuse it).
+func BenchmarkUarchReplayMIPS(b *testing.B) {
+	var traces []*emu.Trace
+	var events int64
+	for _, w := range workload.All() {
+		p, err := w.Build(workload.Ref)
+		if err != nil {
 			b.Fatal(err)
 		}
+		rec := emu.NewTraceRecorder(p)
+		m := emu.New(p)
+		m.Sink = rec
+		if err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+		tr, err := rec.Trace()
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces = append(traces, tr)
+		events += tr.Len()
+	}
+	cfg, params := uarch.DefaultConfig(), power.DefaultParams()
+	for _, g := range []struct {
+		name  string
+		modes []power.GatingMode
+	}{
+		{"1mode", []power.GatingMode{power.GateSoftware}},
+		{"2mode", []power.GatingMode{power.GateHWSize, power.GateHWSignificance}},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, tr := range traces {
+					if _, err := uarch.ReplayModes(tr, cfg, params, g.modes); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(events*int64(b.N))/b.Elapsed().Seconds()/1e6, "MIPS")
+		})
 	}
 }

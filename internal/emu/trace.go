@@ -22,9 +22,10 @@ import (
 // to live emulation — a trace is an accelerator, never a correctness
 // dependency.
 //
-// Invariant: Trace.Replay must deliver the exact Event stream of the live
-// run it captured — same values in every field, same batching shape — so
-// any Sink (the timing model included) can consume a replay in place of an
+// Invariant: Trace.Records must deliver the records NewPacker would pack
+// from the live run it captured, and Trace.Replay the exact Event stream —
+// same values in every field, same batching shape — so any RecSink (the
+// timing model included) or Sink can consume a replay in place of an
 // emulation without observable difference.
 
 // TraceChunkEvents is the number of events per packed-trace chunk

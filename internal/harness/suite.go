@@ -388,13 +388,13 @@ func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result,
 // everyone after replays the cached trace.
 func (s *Suite) simModes(name, variant string, modes []power.GatingMode) ([]*uarch.Result, error) {
 	var rode *uarch.Sim
-	tr, err := s.traceWith(name, variant, func(*prog.Program) (emu.Sink, error) {
-		sim, err := uarch.NewMulti(s.Uarch, s.Power, modes)
+	tr, err := s.traceWith(name, variant, func(p *prog.Program) (emu.Sink, error) {
+		sim, err := uarch.NewMulti(p, s.Uarch, s.Power, modes)
 		if err != nil {
 			return nil, err
 		}
 		rode = sim
-		return sim, nil
+		return emu.NewPacker(p, sim), nil
 	})
 	if err != nil {
 		return nil, err

@@ -64,6 +64,14 @@ type Meter struct {
 	// per-access tag-array energy of the hardware schemes — so the hot
 	// accessors add a constant instead of recomputing the product.
 	tagE [NumStructures]float64
+
+	// energyTab[s][k] is the whole energy of one access to s with k
+	// active bytes, computed in AccessValue's operation order so a table
+	// hit adds the bit-identical float.
+	energyTab [NumStructures][9]float64
+	// active[sw][sig] is the active byte count under Mode for software
+	// width sw and a value with sig significant bytes.
+	active [9][9]uint8
 }
 
 // AccessCacheValue records a data-cache access. Under the sign-extend
@@ -81,6 +89,16 @@ func NewMeter(params Params, mode GatingMode) *Meter {
 	m := &Meter{Params: params, Mode: mode}
 	for s := Structure(0); s < NumStructures; s++ {
 		m.tagE[s] = params.Gated[s] * mode.TagOverheadBytes() / 8.0
+		for k := range m.energyTab[s] {
+			e := params.Fixed[s] + params.Gated[s]*widthProfileTab[k]
+			e += m.tagE[s]
+			m.energyTab[s][k] = e
+		}
+	}
+	for sw := range m.active {
+		for sig := range m.active[sw] {
+			m.active[sw][sig] = uint8(activeBytesSig(mode, sw, sig))
+		}
 	}
 	return m
 }
@@ -102,6 +120,26 @@ func (m *Meter) AccessValue(s Structure, swWidth int, value int64) {
 	e := m.Params.Fixed[s] + m.Params.Gated[s]*widthProfileTab[k]
 	e += m.tagE[s]
 	m.Energy[s] += e
+}
+
+// AccessSig records an access that moves one data value with sig
+// (SignificantBytes) significant bytes: AccessValue with the value's
+// significance computed once by the caller and shared across a bank of
+// meters, and the energy read from the per-meter tables.
+func (m *Meter) AccessSig(s Structure, swWidth, sig int) {
+	m.Accesses[s]++
+	m.Energy[s] += m.energyTab[s][m.active[swWidth][sig]]
+}
+
+// AccessCacheSig is AccessCacheValue for a value with sig significant
+// bytes.
+func (m *Meter) AccessCacheSig(s Structure, swWidth, sig int) {
+	k := 8
+	if !m.SignExtendToCache {
+		k = int(m.active[swWidth][sig])
+	}
+	m.Accesses[s]++
+	m.Energy[s] += m.energyTab[s][k]
 }
 
 // AccessBytes records an access with an explicit active-byte count

@@ -185,28 +185,19 @@ func SignificantBytes(v int64) int {
 	return k
 }
 
-// Wider returns the operand with the most significant bytes (a on ties).
-// Dual-operand structures (instruction queue, functional units) are gated
-// by their widest operand; the power model consumes operands only through
-// SignificantBytes/SizeClass, so moving the wider value models that.
-func Wider(a, b int64) int64 {
-	if SignificantBytes(a) >= SignificantBytes(b) {
-		return a
-	}
-	return b
-}
-
 // SizeClass quantises a value's significant bytes to the 2-bit encoding
 // {1, 2, 5, 8} chosen in §4.6 from the SpecInt size distribution (the
 // 5-byte class exists because memory addresses are 33–40 bits).
-func SizeClass(v int64) int {
-	s := SignificantBytes(v)
+func SizeClass(v int64) int { return sizeClassOf(SignificantBytes(v)) }
+
+// sizeClassOf quantises a significant-byte count to its size class.
+func sizeClassOf(sig int) int {
 	switch {
-	case s <= 1:
+	case sig <= 1:
 		return 1
-	case s <= 2:
+	case sig <= 2:
 		return 2
-	case s <= 5:
+	case sig <= 5:
 		return 5
 	default:
 		return 8
@@ -217,29 +208,28 @@ func SizeClass(v int64) int {
 // swWidth is the opcode width in bytes (8 when the instruction carries no
 // width or under hardware-only modes).
 func ActiveBytes(mode GatingMode, swWidth int, value int64) int {
+	return activeBytesSig(mode, swWidth, SignificantBytes(value))
+}
+
+// activeBytesSig is ActiveBytes for a value with sig significant bytes:
+// every mode reads a value only through its significance, which is what
+// lets one SignificantBytes per value serve a whole bank of meters.
+func activeBytesSig(mode GatingMode, swWidth, sig int) int {
 	switch mode {
 	case GateNone:
 		return 8
 	case GateSoftware:
 		return swWidth
 	case GateHWSignificance:
-		return SignificantBytes(value)
+		return sig
 	case GateHWSize:
-		return SizeClass(value)
+		return sizeClassOf(sig)
 	case GateCooperative:
 		// The hardware tag can only express {1,2,5,8}; the software
 		// width further bounds the moved bytes.
-		hw := SizeClass(value)
-		if swWidth < hw {
-			return swWidth
-		}
-		return hw
+		return min(swWidth, sizeClassOf(sig))
 	case GateCooperativeSig:
-		hw := SignificantBytes(value)
-		if swWidth < hw {
-			return swWidth
-		}
-		return hw
+		return min(swWidth, sig)
 	}
 	return 8
 }

@@ -4,7 +4,9 @@
 //   - batched Run, per-Step execution and Trace.Replay deliver the same
 //     retirement stream and the same architectural outcome;
 //   - a fused uarch.RunModes pass is bit-identical to independent
-//     per-mode uarch.Run calls.
+//     per-mode uarch.Run calls;
+//   - uarch.ReplayModes fed the captured trace's records is bit-identical
+//     to uarch.RunModes on the live emulation.
 //
 // The eight hand-built kernels exercise these invariants on 16 fixed
 // (workload, input) points; driven by progen seeds, difftest turns them
@@ -16,6 +18,7 @@ package difftest
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"opgate/internal/emu"
 	"opgate/internal/power"
@@ -67,25 +70,26 @@ func runStepped(p *prog.Program) (*outcome, error) {
 
 // runReplayed executes p once while recording a packed trace, then
 // replays the trace; the returned outcome pairs the replayed stream with
-// the live run's architectural end state.
-func runReplayed(p *prog.Program) (*outcome, error) {
+// the live run's architectural end state, and the trace is returned for
+// the record-fed timing check.
+func runReplayed(p *prog.Program) (*outcome, *emu.Trace, error) {
 	o := &outcome{}
 	m := emu.New(p)
 	rec := emu.NewTraceRecorder(p)
 	m.Sink = rec
 	if err := m.Run(); err != nil {
-		return nil, fmt.Errorf("capture run: %w", err)
+		return nil, nil, fmt.Errorf("capture run: %w", err)
 	}
 	tr, err := rec.Trace()
 	if err != nil {
-		return nil, fmt.Errorf("trace capture: %w", err)
+		return nil, nil, fmt.Errorf("trace capture: %w", err)
 	}
 	if tr.Len() != m.Dyn {
-		return nil, fmt.Errorf("trace length %d != %d retired instructions", tr.Len(), m.Dyn)
+		return nil, nil, fmt.Errorf("trace length %d != %d retired instructions", tr.Len(), m.Dyn)
 	}
 	tr.Replay(collect(&o.events))
 	o.finish(m)
-	return o, nil
+	return o, tr, nil
 }
 
 func (o *outcome) finish(m *emu.Machine) {
@@ -123,7 +127,9 @@ func diff(a, b *outcome, aName, bName string) error {
 // CheckExec asserts the execution-equivalence invariant on p: the batched
 // Run loop, the per-Step wrapper and a captured-trace Replay must produce
 // identical retirement streams (every Event field) and identical
-// architectural outcomes (output, registers, memory, retired count).
+// architectural outcomes (output, registers, memory, retired count). The
+// timing core fed the captured trace's records must then match a live
+// pass bit for bit in every gating mode.
 func CheckExec(p *prog.Program) error {
 	batched, err := runBatched(p)
 	if err != nil {
@@ -136,32 +142,56 @@ func CheckExec(p *prog.Program) error {
 	if err := diff(batched, stepped, "run", "step"); err != nil {
 		return fmt.Errorf("run vs step: %w", err)
 	}
-	replayed, err := runReplayed(p)
+	replayed, tr, err := runReplayed(p)
 	if err != nil {
 		return err
 	}
 	if err := diff(batched, replayed, "run", "replay"); err != nil {
 		return fmt.Errorf("run vs replay: %w", err)
 	}
+	live, err := uarch.RunModes(p, uarch.DefaultConfig(), power.DefaultParams(), power.Modes())
+	if err != nil {
+		return fmt.Errorf("live RunModes: %w", err)
+	}
+	return checkReplayModes(tr, live)
+}
+
+// checkReplayModes requires uarch.ReplayModes over tr's records to be
+// bit-identical to live, the RunModes results over every gating mode on
+// the traced program.
+func checkReplayModes(tr *emu.Trace, live []*uarch.Result) error {
+	modes := power.Modes()
+	replayed, err := uarch.ReplayModes(tr, uarch.DefaultConfig(), power.DefaultParams(), modes)
+	if err != nil {
+		return fmt.Errorf("ReplayModes: %w", err)
+	}
+	for i, mode := range modes {
+		if err := sameResult(replayed[i], live[i], "replay", "live", mode); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// sameResult requires bit-identical timing and accounting between a fused
-// and a solo simulation result.
-func sameResult(fused, solo *uarch.Result, mode power.GatingMode) error {
-	if fused.Cycles != solo.Cycles || fused.Instructions != solo.Instructions ||
-		fused.IPC != solo.IPC || fused.BranchMissRate != solo.BranchMissRate ||
-		fused.L1DMissRate != solo.L1DMissRate || fused.L1IMissRate != solo.L1IMissRate {
-		return fmt.Errorf("mode %v: timing differs (fused %d cycles, solo %d)", mode, fused.Cycles, solo.Cycles)
+// sameResult requires bit-identical timing and accounting between two
+// simulation results of one program.
+func sameResult(a, b *uarch.Result, aName, bName string, mode power.GatingMode) error {
+	if a.Cycles != b.Cycles || a.Instructions != b.Instructions ||
+		a.IPC != b.IPC || a.BranchMissRate != b.BranchMissRate ||
+		a.L1DMissRate != b.L1DMissRate || a.L1IMissRate != b.L1IMissRate {
+		return fmt.Errorf("mode %v: timing differs (%s %d cycles, %s %d)", mode, aName, a.Cycles, bName, b.Cycles)
 	}
-	if fused.Energy.Cycles != solo.Energy.Cycles {
+	if a.Energy.Cycles != b.Energy.Cycles {
 		return fmt.Errorf("mode %v: meter cycles differ", mode)
 	}
-	if fused.Energy.Energy != solo.Energy.Energy {
-		return fmt.Errorf("mode %v: energy differs: fused %v, solo %v", mode, fused.Energy.Energy, solo.Energy.Energy)
+	for s := range a.Energy.Energy {
+		if math.Float64bits(a.Energy.Energy[s]) != math.Float64bits(b.Energy.Energy[s]) {
+			return fmt.Errorf("mode %v: %v energy differs: %s %v, %s %v",
+				mode, power.Structure(s), aName, a.Energy.Energy[s], bName, b.Energy.Energy[s])
+		}
 	}
-	if fused.Energy.Accesses != solo.Energy.Accesses {
-		return fmt.Errorf("mode %v: access counts differ", mode)
+	if a.Energy.Accesses != b.Energy.Accesses {
+		return fmt.Errorf("mode %v: access counts differ: %s %v, %s %v", mode, aName, a.Energy.Accesses, bName, b.Energy.Accesses)
 	}
 	return nil
 }
@@ -169,7 +199,7 @@ func sameResult(fused, solo *uarch.Result, mode power.GatingMode) error {
 // CheckFusedModes asserts the fused-accounting invariant on p: one
 // RunModes pass over every gating mode must be bit-identical — cycles,
 // per-structure energy, access counts — to independent per-mode Run
-// calls.
+// calls, and to ReplayModes over the captured trace.
 func CheckFusedModes(p *prog.Program) error {
 	cfg := uarch.DefaultConfig()
 	params := power.DefaultParams()
@@ -183,11 +213,15 @@ func CheckFusedModes(p *prog.Program) error {
 		if err != nil {
 			return fmt.Errorf("solo run (%v): %w", mode, err)
 		}
-		if err := sameResult(fused[i], solo, mode); err != nil {
+		if err := sameResult(fused[i], solo, "fused", "solo", mode); err != nil {
 			return err
 		}
 	}
-	return nil
+	_, tr, err := runReplayed(p)
+	if err != nil {
+		return err
+	}
+	return checkReplayModes(tr, fused)
 }
 
 // Check generates the (family, seed, class) train and ref programs and

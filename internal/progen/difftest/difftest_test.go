@@ -11,8 +11,9 @@ import (
 const seedsPerFamily = 17
 
 // TestDifferentialSeedSweep: the substrate invariants (Run == Step ==
-// Replay, identical architectural outcomes) hold across a 100+-seed grid
-// of generated programs, on both input variants of every generation.
+// Replay, identical architectural outcomes, record-fed ReplayModes ==
+// live RunModes) hold across a 100+-seed grid of generated programs, on
+// both input variants of every generation.
 func TestDifferentialSeedSweep(t *testing.T) {
 	for _, f := range progen.Families() {
 		f := f

@@ -11,7 +11,7 @@ import (
 
 // FuzzDiffExec decodes a generator tuple from raw fuzz bytes, generates
 // the program and asserts the execution-equivalence invariant: Run ==
-// Step == Replay, no panics, no traps. The generator is total over valid
+// Step == Replay, ReplayModes == RunModes, no panics, no traps. The generator is total over valid
 // tuples, so any error is a finding. Input layout:
 //
 //	data[0]      generator selector (mod NumFamilies+2): a behavioral

@@ -78,42 +78,28 @@ type Result struct {
 	IPC            float64
 }
 
-// powerBank is the pluggable power-accounting stage: it fans every
-// per-event accounting call out to one meter per requested gating mode.
-// The timing core above it is mode-independent — it describes each access
-// as (structure, software width, value) and never consults a gating mode —
-// so one traversal of the retirement stream can accrue any number of
-// modes, each meter seeing exactly the call sequence a solo run would
-// produce (fused results are bit-identical to per-mode runs).
-type powerBank struct {
-	meters []*power.Meter
-}
-
-func (b *powerBank) accessFixed(s power.Structure) {
-	for _, m := range b.meters {
-		m.AccessFixed(s)
-	}
-}
-
-func (b *powerBank) accessValue(s power.Structure, swWidth int, value int64) {
-	for _, m := range b.meters {
-		m.AccessValue(s, swWidth, value)
-	}
-}
-
-func (b *powerBank) accessCacheValue(s power.Structure, swWidth int, value int64) {
-	for _, m := range b.meters {
-		m.AccessCacheValue(s, swWidth, value)
-	}
-}
-
-// Sim consumes a retirement trace once and produces timing plus energy for
-// every gating mode in its bank.
+// Sim consumes a retirement record stream once and produces timing plus
+// energy for every gating mode in its bank. It is an emu.RecSink: replay
+// hands it a trace's record batches directly, and live passes pack events
+// for it with emu.NewPacker.
+//
+// The power bank is the pluggable accounting stage: one meter per
+// requested gating mode. The timing core above it is mode-independent —
+// it describes each access as (structure, software width, value
+// significance) and never consults a gating mode — so one traversal of
+// the stream accrues any number of modes. Every meter sees, per
+// structure, exactly the access sequence a solo run would produce (fused
+// results are bit-identical to per-mode runs); each value's significance
+// is computed once per event and shared across the bank.
 type Sim struct {
-	cfg  Config
-	bank powerBank
-	pred *bpred.Predictor
-	hier *cache.Hierarchy
+	cfg    Config
+	meters []*power.Meter
+	pred   *bpred.Predictor
+	hier   *cache.Hierarchy
+	static []static
+
+	l1iHit    int // L1 I-cache hit latency
+	wrongPath int // ICache+Rename accesses charged per mispredict
 
 	regReady        [isa.NumRegs]int64 // cycle each architectural value is ready
 	fetchCycle      int64
@@ -121,8 +107,8 @@ type Sim struct {
 	lastFetchLine   int64
 	pendingRedirect int64 // earliest fetch cycle after a mispredict
 
-	// Issue-bandwidth ring: issued[c % ringSize] counts issues in cycle
-	// c; epochs detect stale slots.
+	// Issue-bandwidth ring: issued[c & (ringSize-1)] counts issues in
+	// cycle c; epochs detect stale slots.
 	issued     []int8
 	issueEpoch []int64
 
@@ -147,17 +133,90 @@ type Sim struct {
 	results []*Result // built once by FinishAll
 }
 
+// ringSize is a power of two, so a cycle's issue slot is a mask.
 const ringSize = 1 << 14
 
-// New builds a simulator with the given gating mode and power parameters.
-func New(cfg Config, params power.Params, mode power.GatingMode) (*Sim, error) {
-	return NewMulti(cfg, params, []power.GatingMode{mode})
+// static is the per-static-instruction metadata the timing core reads on
+// every retirement, decoded once per program so the per-event path never
+// re-derives register uses, classes or fetch lines.
+type static struct {
+	fetchAddr int64      // I-cache byte address
+	line      int64      // I-cache line of fetchAddr
+	uses      [3]isa.Reg // non-zero register uses, in Uses order
+	nUses     uint8
+	useB      uint8 // bit k set: use k's operand value is SrcB, else SrcA
+	dest      isa.Reg
+	width     uint8 // operand width in bytes (the software gating width)
+	lat       uint8 // functional-unit latency
+	flags     uint16
 }
 
-// NewMulti builds a fused simulator whose power bank accrues every listed
-// gating mode in one traversal of the retirement stream. FinishAll returns
-// one Result per mode, in the given order.
-func NewMulti(cfg Config, params power.Params, modes []power.GatingMode) (*Sim, error) {
+// static flag bits.
+const (
+	fDest   = 1 << iota // writes architectural register dest
+	fPhys               // allocates a physical register, produces a value
+	fMul                // issues to the multiply/divide unit
+	fMem                // accesses data memory
+	fStore              // memory write
+	fBranch             // resolves on the branch predictor
+	fCond               // conditional branch
+	fJSR                // call
+	fRET                // return
+	fFU                 // charges functional-unit energy
+)
+
+// staticsOf builds the per-static table of p under cfg.
+func staticsOf(p *prog.Program, cfg Config, lineBytes int) []static {
+	tab := make([]static, len(p.Ins))
+	for i := range p.Ins {
+		in := &p.Ins[i]
+		st := &tab[i]
+		st.fetchAddr = int64(i) * int64(cfg.InstrBytes)
+		st.line = st.fetchAddr / int64(lineBytes)
+		uses, n := in.Uses()
+		for k := 0; k < n; k++ {
+			if uses[k] == isa.ZeroReg {
+				continue
+			}
+			if k == 1 {
+				st.useB |= 1 << st.nUses
+			}
+			st.uses[st.nUses] = uses[k]
+			st.nUses++
+		}
+		st.width = uint8(in.Width.Bytes())
+		st.lat = uint8(isa.Latency(in.Op))
+		if d, ok := in.Dest(); ok {
+			st.dest = d
+			st.flags |= fDest | fPhys
+		}
+		class := isa.ClassOf(in.Op)
+		for _, c := range [...]struct {
+			bits uint16
+			on   bool
+		}{
+			{fPhys | fJSR, in.Op == isa.OpJSR},
+			{fRET, in.Op == isa.OpRET},
+			{fMul, class == isa.ClassMul},
+			{fMem, isa.IsMem(in.Op)},
+			{fStore, in.Op == isa.OpST},
+			{fBranch, class == isa.ClassBranch},
+			{fCond, isa.IsCondBranch(in.Op)},
+			{fFU, class != isa.ClassBranch && class != isa.ClassNone &&
+				class != isa.ClassLoad && class != isa.ClassStore && in.Op != isa.OpHALT},
+		} {
+			if c.on {
+				st.flags |= c.bits
+			}
+		}
+	}
+	return tab
+}
+
+// NewMulti builds a fused simulator for program p whose power bank
+// accrues every listed gating mode in one traversal of p's retirement
+// stream. FinishAll returns one Result per mode, in the given order.
+func NewMulti(p *prog.Program, cfg Config, params power.Params, modes []power.GatingMode) (*Sim, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("uarch: no gating modes requested")
 	}
@@ -165,6 +224,7 @@ func NewMulti(cfg Config, params power.Params, modes []power.GatingMode) (*Sim, 
 	if err != nil {
 		return nil, err
 	}
+	l1i := hier.L1I.Config()
 	meters := make([]*power.Meter, len(modes))
 	for i, mode := range modes {
 		meters[i] = power.NewMeter(params, mode)
@@ -172,9 +232,12 @@ func NewMulti(cfg Config, params power.Params, modes []power.GatingMode) (*Sim, 
 	}
 	return &Sim{
 		cfg:           cfg,
-		bank:          powerBank{meters: meters},
+		meters:        meters,
 		pred:          bpred.New(cfg.Predictor),
 		hier:          hier,
+		static:        staticsOf(p, cfg, l1i.LineBytes),
+		l1iHit:        l1i.HitCycles,
+		wrongPath:     int(cfg.WrongPathFactor * float64(cfg.FetchWidth*cfg.FrontendDepth)),
 		issued:        make([]int8, ringSize),
 		issueEpoch:    make([]int64, ringSize),
 		windowRing:    make([]int64, cfg.WindowSize),
@@ -201,12 +264,12 @@ func Run(p *prog.Program, cfg Config, params power.Params, mode power.GatingMode
 // exactly equivalent to — and bit-identical with — len(modes) independent
 // Run calls, at one emulation and one timing pass of cost.
 func RunModes(p *prog.Program, cfg Config, params power.Params, modes []power.GatingMode) ([]*Result, error) {
-	s, err := NewMulti(cfg, params, modes)
+	s, err := NewMulti(p, cfg, params, modes)
 	if err != nil {
 		return nil, err
 	}
 	m := emu.New(p)
-	m.Sink = s
+	m.Sink = emu.NewPacker(p, s)
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
@@ -214,31 +277,43 @@ func RunModes(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 }
 
 // ReplayModes is RunModes driven by a captured retirement trace instead of
-// a live emulation: the trace is replayed once through the fused timing
-// core. The trace must reproduce the live stream byte-for-byte (the
+// a live emulation: the trace's record batches stream once through the
+// fused timing core. The records reproduce the live stream exactly (the
 // emu.Trace invariant), so results are identical to RunModes on the
 // traced program.
 func ReplayModes(tr *emu.Trace, cfg Config, params power.Params, modes []power.GatingMode) ([]*Result, error) {
-	s, err := NewMulti(cfg, params, modes)
+	s, err := NewMulti(tr.Program(), cfg, params, modes)
 	if err != nil {
 		return nil, err
 	}
-	tr.Replay(s)
+	tr.Records(s)
 	return s.FinishAll(), nil
 }
 
-// Consume advances the pipeline model over a batch of retired
-// instructions (it implements emu.Sink).
-func (s *Sim) Consume(batch []emu.Event) {
-	for i := range batch {
-		s.consume(&batch[i])
+// ConsumeRecs advances the pipeline model over a batch of retired
+// instructions (it implements emu.RecSink).
+func (s *Sim) ConsumeRecs(b emu.RecBatch) {
+	// Co-slicing the columns to one length lets the loop index them
+	// without per-column bounds checks.
+	idxs := b.Idx
+	nexts := b.Next[:len(idxs)]
+	flags := b.Flags[:len(idxs)]
+	addrs := b.Addr[:len(idxs)]
+	values := b.Value[:len(idxs)]
+	srcAs := b.SrcA[:len(idxs)]
+	srcBs := b.SrcB[:len(idxs)]
+	for i, idx := range idxs {
+		s.consume(int(idx), int(nexts[i]), flags[i]&emu.RecTaken != 0,
+			addrs[i], values[i], srcAs[i], srcBs[i])
 	}
 }
 
-// consume advances the pipeline model by one retired instruction.
-func (s *Sim) consume(ev *emu.Event) {
+// consume advances the pipeline model by one retired instruction: static
+// instruction idx, followed by next, with its record's operand values.
+func (s *Sim) consume(idx, next int, taken bool, addr, value, srcA, srcB int64) {
 	cfg := &s.cfg
-	in := ev.Ins
+	st := &s.static[idx]
+	f := st.flags
 	s.retired++
 
 	// --- Fetch ---------------------------------------------------------
@@ -254,24 +329,20 @@ func (s *Sim) consume(ev *emu.Event) {
 	// The I-cache is read on every fetch (the line-buffer hit path is
 	// folded into the per-access fixed cost); misses are modelled when
 	// the fetch group crosses into a new line.
-	s.bank.accessFixed(power.ICache)
-	line := int64(ev.Idx) * int64(cfg.InstrBytes) / int64(s.hier.L1I.Config().LineBytes)
-	if line != s.lastFetchLine {
-		lat, l2 := s.hier.InstrAccess(int64(ev.Idx) * int64(cfg.InstrBytes))
-		if l2 {
-			s.bank.accessFixed(power.L2Cache)
-		}
-		if lat > s.hier.L1I.Config().HitCycles {
-			s.fetchCycle += int64(lat - s.hier.L1I.Config().HitCycles)
+	fetchL2 := false
+	if st.line != s.lastFetchLine {
+		lat, l2 := s.hier.InstrAccess(st.fetchAddr)
+		fetchL2 = l2
+		if lat > s.l1iHit {
+			s.fetchCycle += int64(lat - s.l1iHit)
 			s.fetchedInCycle = 0
 		}
-		s.lastFetchLine = line
+		s.lastFetchLine = st.line
 	}
 	s.fetchedInCycle++
 	fetch := s.fetchCycle
 
 	// --- Rename / dispatch ----------------------------------------------
-	s.bank.accessFixed(power.Rename)
 	dispatch := fetch + int64(cfg.FrontendDepth)
 	// Window occupancy: cannot dispatch until the instruction
 	// WindowSize back has retired.
@@ -280,11 +351,7 @@ func (s *Sim) consume(ev *emu.Event) {
 	}
 	// Physical registers: a writer needs a free register, available when
 	// the (PhysRegs-NumRegs)-back writer retired.
-	_, writes := in.Dest()
-	if in.Op == isa.OpJSR {
-		writes = true
-	}
-	if writes {
+	if f&fPhys != 0 {
 		if w := s.physRing[s.physPos]; dispatch <= w {
 			dispatch = w + 1
 		}
@@ -292,28 +359,19 @@ func (s *Sim) consume(ev *emu.Event) {
 
 	// --- Operand readiness ----------------------------------------------
 	ready := dispatch + 1
-	uses, n := in.Uses()
-	for k := 0; k < n; k++ {
-		r := uses[k]
-		if r == isa.ZeroReg {
-			continue
-		}
+	uses := st.uses[:st.nUses]
+	for _, r := range uses {
 		if t := s.regReady[r]; t > ready {
 			ready = t
 		}
 	}
 
 	// --- Issue ------------------------------------------------------------
-	var fu []int64
-	switch isa.ClassOf(in.Op) {
-	case isa.ClassMul:
+	fu := s.aluFree // branches/halt resolve on an ALU port too
+	if f&fMul != 0 {
 		fu = s.mulFree
-	case isa.ClassBranch, isa.ClassOther, isa.ClassNone:
-		fu = nil // branches/halt resolve on an ALU port too
-		fu = s.aluFree
-	default:
-		fu = s.aluFree
 	}
+	lat := int64(st.lat)
 	issue := ready
 	// Find an FU and an issue slot.
 	for {
@@ -326,17 +384,14 @@ func (s *Sim) consume(ev *emu.Event) {
 		}
 		if best < 0 {
 			// Earliest any unit frees.
-			min := fu[0]
+			issue = fu[0]
 			for _, t := range fu[1:] {
-				if t < min {
-					min = t
-				}
+				issue = min(issue, t)
 			}
-			issue = min
 			continue
 		}
 		// Issue bandwidth.
-		slot := issue % ringSize
+		slot := issue & (ringSize - 1)
 		if s.issueEpoch[slot] != issue {
 			s.issueEpoch[slot] = issue
 			s.issued[slot] = 0
@@ -346,81 +401,42 @@ func (s *Sim) consume(ev *emu.Event) {
 			continue
 		}
 		s.issued[slot]++
-		lat := int64(isa.Latency(in.Op))
 		fu[best] = issue + lat
 		break
 	}
 
 	// --- Execute / memory -------------------------------------------------
-	done := issue + int64(isa.Latency(in.Op))
-	if isa.IsMem(in.Op) {
-		lat, l2 := s.hier.DataAccess(ev.Addr, in.Op == isa.OpST)
+	done := issue + lat
+	dataL2 := false
+	if f&fMem != 0 {
+		lat, l2 := s.hier.DataAccess(addr, f&fStore != 0)
 		done = issue + int64(lat)
-		// LSQ: address CAM plus data movement. The address access is a
-		// full-width (8-byte) value access, gated by each meter's own view
-		// of the address bytes.
-		s.bank.accessValue(power.LSQ, 8, ev.Addr)
-		s.bank.accessValue(power.LSQ, in.Width.Bytes(), ev.Value)
-		s.bank.accessCacheValue(power.DCache, in.Width.Bytes(), ev.Value)
-		if l2 {
-			s.bank.accessFixed(power.L2Cache)
-		}
-	}
-
-	// --- Energy: window, operands, execution ------------------------------
-	w := in.Width.Bytes()
-	s.bank.accessValue(power.IQ, w, power.Wider(ev.SrcA, ev.SrcB))
-	s.bank.accessFixed(power.ROB)
-	for k := 0; k < n; k++ {
-		if uses[k] == isa.ZeroReg {
-			continue
-		}
-		v := ev.SrcA
-		if k == 1 {
-			v = ev.SrcB
-		}
-		s.bank.accessValue(power.RegFile, w, v)
-	}
-	if _, ok := in.Dest(); ok || in.Op == isa.OpJSR {
-		s.bank.accessValue(power.RegFile, w, ev.Value)
-		s.bank.accessValue(power.RenameBuf, w, ev.Value)
-		s.bank.accessValue(power.ResultBus, w, ev.Value)
-	}
-	if class := isa.ClassOf(in.Op); class != isa.ClassBranch && class != isa.ClassNone &&
-		class != isa.ClassLoad && class != isa.ClassStore && in.Op != isa.OpHALT {
-		s.bank.accessValue(power.FU, w, power.Wider(ev.SrcA, ev.SrcB))
+		dataL2 = l2
 	}
 
 	// --- Branch resolution -------------------------------------------------
-	if isa.IsBranch(in.Op) {
-		s.bank.accessFixed(power.BPred)
-		miss := false
+	miss := false
+	if f&fBranch != 0 {
 		switch {
-		case isa.IsCondBranch(in.Op):
-			s.pred.Predict(ev.Idx)
-			miss = s.pred.Update(ev.Idx, ev.Taken)
-		case in.Op == isa.OpJSR:
-			s.pred.Call(ev.Idx + 1)
-		case in.Op == isa.OpRET:
-			miss = s.pred.Return(ev.Next)
+		case f&fCond != 0:
+			s.pred.Predict(idx)
+			miss = s.pred.Update(idx, taken)
+		case f&fJSR != 0:
+			s.pred.Call(idx + 1)
+		case f&fRET != 0:
+			miss = s.pred.Return(next)
 		}
 		if miss {
-			s.pendingRedirect = done + int64(s.cfg.RedirectPenalty)
-			// Wrong-path energy: wasted front-end work.
-			waste := s.cfg.WrongPathFactor * float64(cfg.FetchWidth*cfg.FrontendDepth)
-			for i := 0; i < int(waste); i++ {
-				s.bank.accessFixed(power.ICache)
-				s.bank.accessFixed(power.Rename)
-			}
+			s.pendingRedirect = done + int64(cfg.RedirectPenalty)
 		}
 	}
 
+	// --- Energy -----------------------------------------------------------
+	s.account(st, fetchL2, dataL2, miss, addr, value, srcA, srcB)
+
 	// --- Writeback ----------------------------------------------------------
-	if d, ok := in.Dest(); ok {
-		s.regReady[d] = done
-	}
-	if in.Op == isa.OpJSR && in.Rd != isa.ZeroReg {
-		s.regReady[in.Rd] = done
+	if f&fDest != 0 {
+		s.regReady[st.dest] = done
 	}
 
 	// --- Retire (in order) ---------------------------------------------------
@@ -439,17 +455,78 @@ func (s *Sim) consume(ev *emu.Event) {
 	}
 	s.lastRetire = retire
 	s.windowRing[s.windowPos] = retire
-	s.windowPos = (s.windowPos + 1) % len(s.windowRing)
-	if writes {
+	if s.windowPos++; s.windowPos == len(s.windowRing) {
+		s.windowPos = 0
+	}
+	if f&fPhys != 0 {
 		s.physRing[s.physPos] = retire
-		s.physPos = (s.physPos + 1) % len(s.physRing)
+		if s.physPos++; s.physPos == len(s.physRing) {
+			s.physPos = 0
+		}
 	}
 }
 
-// Finish closes the simulation and returns the first mode's results (the
-// only mode, for simulators built with New).
-func (s *Sim) Finish() *Result {
-	return s.FinishAll()[0]
+// account charges one retired instruction's structure accesses to every
+// meter in the bank, in pipeline-stage order (float sums depend on it).
+// Each value's significance is computed once and shared by the whole bank.
+func (s *Sim) account(st *static, fetchL2, dataL2, miss bool, addr, value, srcA, srcB int64) {
+	f := st.flags
+	w := int(st.width)
+	sigA, sigB := power.SignificantBytes(srcA), power.SignificantBytes(srcB)
+	// Dual-operand structures (instruction queue, functional units) are
+	// gated by their widest operand.
+	sigAB := max(sigA, sigB)
+	var sigV, sigAddr int
+	if f&(fMem|fPhys) != 0 {
+		sigV = power.SignificantBytes(value)
+	}
+	if f&fMem != 0 {
+		sigAddr = power.SignificantBytes(addr)
+	}
+	for _, m := range s.meters {
+		m.AccessFixed(power.ICache)
+		if fetchL2 {
+			m.AccessFixed(power.L2Cache)
+		}
+		m.AccessFixed(power.Rename)
+		if f&fMem != 0 {
+			// LSQ: address CAM plus data movement. The address access is
+			// a full-width (8-byte) value access.
+			m.AccessSig(power.LSQ, 8, sigAddr)
+			m.AccessSig(power.LSQ, w, sigV)
+			m.AccessCacheSig(power.DCache, w, sigV)
+			if dataL2 {
+				m.AccessFixed(power.L2Cache)
+			}
+		}
+		m.AccessSig(power.IQ, w, sigAB)
+		m.AccessFixed(power.ROB)
+		for k := uint8(0); k < st.nUses; k++ {
+			sig := sigA
+			if st.useB&(1<<k) != 0 {
+				sig = sigB
+			}
+			m.AccessSig(power.RegFile, w, sig)
+		}
+		if f&fPhys != 0 {
+			m.AccessSig(power.RegFile, w, sigV)
+			m.AccessSig(power.RenameBuf, w, sigV)
+			m.AccessSig(power.ResultBus, w, sigV)
+		}
+		if f&fFU != 0 {
+			m.AccessSig(power.FU, w, sigAB)
+		}
+		if f&fBranch != 0 {
+			m.AccessFixed(power.BPred)
+			if miss {
+				// Wrong-path energy: wasted front-end work.
+				for i := 0; i < s.wrongPath; i++ {
+					m.AccessFixed(power.ICache)
+					m.AccessFixed(power.Rename)
+				}
+			}
+		}
+	}
 }
 
 // FinishAll closes the simulation and returns one Result per gating mode
@@ -464,8 +541,8 @@ func (s *Sim) FinishAll() []*Result {
 	if cycles > 0 {
 		ipc = float64(s.retired) / float64(cycles)
 	}
-	s.results = make([]*Result, len(s.bank.meters))
-	for i, m := range s.bank.meters {
+	s.results = make([]*Result, len(s.meters))
+	for i, m := range s.meters {
 		m.Tick(cycles)
 		s.results[i] = &Result{
 			Cycles:         cycles,

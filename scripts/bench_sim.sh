@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Regenerate BENCH_sim.json, the machine-readable trajectory of the
 # simulation-substrate benchmarks: emulated MIPS, trace capture/replay
-# throughput, the fused-vs-unfused cold figure matrices, and the
+# throughput, replay-fed timing-model MIPS (one- and two-mode banks over
+# the ref kernel traces), the fused-vs-unfused cold figure matrices, and the
 # single-pass threshold sweep (grid cells/s vs independent per-threshold
 # runs).
 #
@@ -14,7 +15,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkEmuMIPS|BenchmarkTraceReplayMIPS|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep'
+BENCHES='BenchmarkEmuMIPS|BenchmarkTraceReplayMIPS|BenchmarkUarchReplayMIPS|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep'
 
 # Run the benchmarks to a temp file first so a failing run aborts the
 # script (POSIX sh has no pipefail) instead of overwriting the committed
