@@ -19,10 +19,13 @@
 // of that variant replays the cached trace instead of re-emulating. The
 // gating modes the evaluation requests for a variant are accrued in one
 // fused timing pass (uarch.ReplayModes with a meter bank), so the figure
-// matrices cost one emulation and one timing traversal per variant. All
-// of it is an accelerator only: traces over budget fall back to live
-// emulation, and Unfused restores the pre-trace pipeline for equivalence
-// tests and benchmarks. Reports are byte-identical either way.
+// matrices cost one emulation and one timing traversal per variant. The
+// ablations' rebuilt binaries read these caches when they are
+// byte-identical to a cached variant; the others are one-off live passes
+// outside the trace cache and the Emulations probe. All of it is an
+// accelerator only: traces over budget fall back to live emulation, and
+// Unfused restores the pre-trace pipeline for equivalence tests and
+// benchmarks. Reports are byte-identical either way.
 //
 // With a Store attached the trace cache extends across processes: a
 // variant's trace is looked up on disk (content-addressed by workload,
@@ -334,8 +337,10 @@ func modeGroup(mode power.GatingMode) (int, int) {
 // Emulations returns how many functional emulations the suite has
 // performed: trace captures plus any live fallbacks (over-budget traces,
 // Unfused mode). The trace layer's contract — at most one emulation per
-// (name, variant) — is asserted against this probe in tests. Emulations
-// inside VRP/VRS construction (train profiling runs) are not counted.
+// (name, variant) — is asserted against this probe in tests. Not counted:
+// emulations inside VRP/VRS construction (train profiling runs), and the
+// one-off live passes of ablation binaries not identical to a cached
+// variant.
 func (s *Suite) Emulations() int64 { return s.emuRuns.Load() }
 
 // TrainEmulations returns how many VRS train profiling emulations the

@@ -116,6 +116,7 @@ func TestTraceWorkloadGates(t *testing.T) {
 
 	s := NewSuite(true)
 	s.Store = st
+	s.Synthetics = []string{name}
 
 	// The replay path works.
 	if _, err := s.Sim(name, "base", power.GateHWSize); err != nil {
@@ -137,6 +138,8 @@ func TestTraceWorkloadGates(t *testing.T) {
 		{"vrs", func() error { _, err := s.VRS(name, 50); return err }()},
 		{"vrp variant", func() error { _, err := s.Sim(name, "vrp", power.GateSoftware); return err }()},
 		{"vrs variant", func() error { _, err := s.Sim(name, "vrs50", power.GateSoftware); return err }()},
+		{"opcode-set ablation", func() error { _, err := s.AblationOpcodeSets(testCtx); return err }()},
+		{"analysis ablation", func() error { _, err := s.AblationAnalysis(testCtx); return err }()},
 	}
 	for _, c := range gated {
 		if !errors.Is(c.err, workload.ErrTraceOnly) {
