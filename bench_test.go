@@ -10,6 +10,7 @@ package opgate
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"opgate/internal/emu"
@@ -267,7 +268,6 @@ func BenchmarkEmuMIPS(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Reset()
-				m.Fuel = emu.DefaultFuel
 				if err := m.Run(); err != nil {
 					b.Fatal(err)
 				}
@@ -326,6 +326,91 @@ func BenchmarkTraceReplayMIPS(b *testing.B) {
 	})
 }
 
+// setupSink keeps BenchmarkMachineSetup's machines observable.
+var setupSink *emu.Machine
+
+// BenchmarkMachineSetup reports the cost of readying a machine over a ref
+// image (8 MiB of data memory): emu.New allocates and zeroes a fresh
+// image, while Acquire after a Release reuses the pooled one, zeroing
+// only the pages written since its last reset and re-copying the data.
+// The new leg first drops a few machines and collects them, so even a
+// short run measures the steady state of a long suite: images carved
+// from freed heap memory that must be zeroed, not fresh OS pages.
+func BenchmarkMachineSetup(b *testing.B) {
+	w, _ := workload.ByName("compress")
+	p, err := w.Build(workload.Ref)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("new", func(b *testing.B) {
+		for i := 0; i < 4; i++ {
+			setupSink = emu.New(p)
+		}
+		setupSink = nil
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			setupSink = emu.New(p)
+		}
+	})
+	b.Run("acquire", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m := emu.Acquire(p)
+			setupSink = m
+			m.Release()
+		}
+	})
+	setupSink = nil
+}
+
+// BenchmarkCaptureMIPS reports a live capture pass over the compress ref
+// input in emulated MIPS: a TraceRecorder alone (the capture that fills
+// the trace cache and store), and a recorder with a rider scanning the
+// op/width columns (a first consumer riding the capture pass, reading
+// each range straight out of the chunk it was packed into).
+func BenchmarkCaptureMIPS(b *testing.B) {
+	w, _ := workload.ByName("compress")
+	p, err := w.Build(workload.Ref)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name  string
+		rider bool
+	}{{"recorder", false}, {"rider", true}} {
+		b.Run(leg.name, func(b *testing.B) {
+			var wsum int64
+			tally := emu.RecFunc(func(batch emu.RecBatch) {
+				for i, op := range batch.Op {
+					if isa.Op(op) != isa.OpHALT {
+						wsum += int64(batch.WBytes[i])
+					}
+				}
+			})
+			m := emu.New(p)
+			var dyn int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := emu.NewTraceRecorder(p)
+				if leg.rider {
+					rec.SetRider(tally)
+				}
+				m.Reset()
+				m.Sink = rec
+				if err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rec.Trace(); err != nil {
+					b.Fatal(err)
+				}
+				dyn += m.Dyn
+			}
+			b.ReportMetric(float64(dyn)/b.Elapsed().Seconds()/1e6, "MIPS")
+			_ = wsum
+		})
+	}
+}
+
 // benchFigureMatrix runs a cold suite experiment fused and unfused.
 func benchFigureMatrix(b *testing.B, run func(s *harness.Suite) error) {
 	for _, cfg := range []struct {
@@ -348,8 +433,9 @@ func benchFigureMatrix(b *testing.B, run func(s *harness.Suite) error) {
 // workload built, analysed, emulated and simulated for the base and VRP
 // variants) under the fused trace pipeline vs the pre-trace one. Figure 3
 // alone consumes one mode per variant, so here fused mostly measures the
-// capture investment (packing + chunk allocation, ~25-30% on this
-// matrix); every later experiment on the same suite then replays for
+// capture investment: allocating the trace chunks and packing each event
+// into them once (~13% over unfused on a 2-vCPU Xeon, medians of 10
+// runs); every later experiment on the same suite then replays for
 // free — BenchmarkFigureFamilyMatrix shows that payoff.
 func BenchmarkFigure3Matrix(b *testing.B) {
 	benchFigureMatrix(b, func(s *harness.Suite) error {

@@ -58,8 +58,8 @@
 // survives server restarts by falling back to the content-addressed
 // report when a job vanishes mid-wait, and an ObjectBackend adapting a
 // peer's object API to the store.Backend contract.
-// internal/core is a thin compatibility shim; the examples/ programs use
-// the public API only. See internal/harness for the per-experiment
+// The command-line tools and the examples/ programs use the public API
+// only. See internal/harness for the per-experiment
 // drivers and DESIGN.md for the full system inventory. The root package
 // also hosts the repository-level benchmark harness (bench_test.go).
 //

@@ -1,10 +1,10 @@
-package core_test
+package opgate_test
 
 import (
 	"strings"
 	"testing"
 
-	"opgate/internal/core"
+	"opgate"
 	"opgate/internal/power"
 	"opgate/internal/workload"
 )
@@ -18,11 +18,11 @@ const tiny = `
 `
 
 func TestAssembleAndRun(t *testing.T) {
-	p, err := core.Assemble(tiny)
+	p, err := opgate.Assemble(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(p)
+	res, err := opgate.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestAssembleAndRun(t *testing.T) {
 }
 
 func TestOptimizeVerifies(t *testing.T) {
-	p, err := core.Assemble(tiny)
+	p, err := opgate.Assemble(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.Optimize(p, core.OptimizeOptions{})
+	opt, err := opgate.Optimize(p, opgate.OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestOptimizeVerifies(t *testing.T) {
 func TestOptimizeConventionalVsUseful(t *testing.T) {
 	w, _ := workload.ByName("compress")
 	p, _ := w.Build(workload.Train)
-	conv, err := core.Optimize(p, core.OptimizeOptions{Conventional: true})
+	conv, err := opgate.Optimize(p, opgate.OptimizeOptions{Conventional: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	useful, err := core.Optimize(p, core.OptimizeOptions{})
+	useful, err := opgate.Optimize(p, opgate.OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSpecializeFacade(t *testing.T) {
 	w, _ := workload.ByName("vortex")
 	trainP, _ := w.Build(workload.Train)
 	refP, _ := w.Build(workload.Ref)
-	spec, err := core.Specialize(trainP, refP, core.SpecializeOptions{Threshold: 50})
+	spec, err := opgate.Specialize(trainP, refP, opgate.SpecializeOptions{Threshold: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +81,19 @@ func TestSpecializeFacade(t *testing.T) {
 }
 
 func TestSimulateAndCompare(t *testing.T) {
-	p, err := core.Assemble(tiny)
+	p, err := opgate.Assemble(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.Simulate(p, core.SimOptions{Gating: power.GateNone})
+	r, err := opgate.Simulate(p, opgate.SimOptions{Gating: power.GateNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Cycles <= 0 || r.Instructions != 4 {
 		t.Errorf("cycles %d instructions %d", r.Cycles, r.Instructions)
 	}
-	opt, _ := core.Optimize(p, core.OptimizeOptions{})
-	energy, ed2, err := core.CompareGating(opt.Program, power.GateSoftware)
+	opt, _ := opgate.Optimize(p, opgate.OptimizeOptions{})
+	energy, ed2, err := opgate.CompareGating(opt.Program, power.GateSoftware)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestSimulateAndCompare(t *testing.T) {
 }
 
 func TestDisassembleFacade(t *testing.T) {
-	p, _ := core.Assemble(tiny)
-	text := core.Disassemble(p)
+	p, _ := opgate.Assemble(tiny)
+	text := opgate.Disassemble(p)
 	if !strings.Contains(text, "add") {
 		t.Errorf("disassembly missing add:\n%s", text)
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"opgate/internal/isa"
 	"opgate/internal/prog"
@@ -121,18 +122,62 @@ func markDirty(dirty []uint64, off, n int64) {
 	}
 }
 
-// New creates a machine with the program's initial memory image.
+// New creates a machine with the program's initial memory image. The
+// caller owns it for good; short-lived emulations whose machine never
+// escapes should use Acquire and Release instead.
 func New(p *prog.Program) *Machine {
-	m := &Machine{P: p, Fuel: DefaultFuel}
+	m := &Machine{P: p}
 	m.Reset()
 	return m
+}
+
+// pools holds released machines, one sync.Pool per memory-image size
+// (MemSize -> *sync.Pool): the garbage collector may reclaim idle images.
+var pools sync.Map
+
+// poolOf returns the pool of released machines with memSize-byte images.
+func poolOf(memSize int64) *sync.Pool {
+	if pool, ok := pools.Load(memSize); ok {
+		return pool.(*sync.Pool)
+	}
+	pool, _ := pools.LoadOrStore(memSize, new(sync.Pool))
+	return pool.(*sync.Pool)
+}
+
+// Acquire returns a machine over p in its initial state, like New, but
+// reuses a released machine with the same MemSize when one is idle: its
+// Reset zeroes only the pages the previous run wrote instead of
+// allocating a fresh image. The caller owns the machine until it calls
+// Release and must not touch it, its Mem or its Output afterwards, so
+// pair the two only where the machine never escapes.
+func Acquire(p *prog.Program) *Machine {
+	if m, _ := poolOf(p.MemSize).Get().(*Machine); m != nil {
+		m.P = p
+		m.Reset()
+		return m
+	}
+	return New(p)
+}
+
+// Release hands m back for a later Acquire. Ownership ends here: after
+// Release the caller must not use m, and must not read its Mem or Output
+// (the next owner reuses both); an InsCount slice taken earlier stays
+// the caller's. Release drops the sink, the counts and the program, so
+// the pool keeps no consumer alive.
+func (m *Machine) Release() {
+	m.Sink = nil
+	m.InsCount = nil
+	m.P = nil
+	m.decSrc = nil
+	poolOf(int64(len(m.Mem))).Put(m)
 }
 
 // Reset restores the initial architectural state. Data memory is a flat
 // array backing the virtual range [DataBase, DataBase+MemSize); keeping the
 // base above 2^32 makes addresses realistic 5-byte values (Fig. 12) while
-// the array stays small. The global pointer is pinned to DataBase and the
-// stack pointer starts at the top of memory.
+// the array stays small. The global pointer is pinned to DataBase, the
+// stack pointer starts at the top of memory, and Fuel is back at
+// DefaultFuel.
 func (m *Machine) Reset() {
 	if int64(len(m.Mem)) != m.P.MemSize {
 		m.Mem = make([]byte, m.P.MemSize)
@@ -166,6 +211,7 @@ func (m *Machine) Reset() {
 	m.PC = entry.Start
 	m.Halted = false
 	m.Output = m.Output[:0]
+	m.Fuel = DefaultFuel
 	m.Dyn = 0
 	if m.InsCount != nil {
 		m.InsCount = make([]int64, len(m.P.Ins))
@@ -177,10 +223,15 @@ func (m *Machine) EnableCounts() { m.InsCount = make([]int64, len(m.P.Ins)) }
 
 // decode predecodes the program into the dispatch loop's flat form. The
 // cache is keyed on the program pointer, so swapping m.P takes effect on
-// the next run; mutating m.P.Ins in place between runs is not supported.
+// the next run (Release drops the key, so an acquired machine always
+// re-decodes); mutating m.P.Ins in place between runs is not supported.
 func (m *Machine) decode() {
 	ins := m.P.Ins
-	dec := make([]decIns, len(ins))
+	dec := m.dec[:0]
+	if cap(dec) < len(ins) {
+		dec = make([]decIns, len(ins))
+	}
+	dec = dec[:len(ins)]
 	for i := range ins {
 		in := &ins[i]
 		d := &dec[i]

@@ -239,3 +239,119 @@ func TestEquivalenceDetectsMemoryDifference(t *testing.T) {
 		t.Error("differing final memory not detected")
 	}
 }
+
+// TestResetRestoresFuel: Reset must refill the dynamic-instruction budget,
+// so a second pass over a long program gets the full DefaultFuel and not
+// whatever the first pass left.
+func TestResetRestoresFuel(t *testing.T) {
+	p, err := asm.Assemble(`
+.func main
+	lda r1, 0(rz)
+loop:
+	add r1, r1, #1
+	cmplt r2, r1, #1000
+	bne r2, loop
+	halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := emu.New(p)
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Fuel == emu.DefaultFuel {
+		t.Fatal("the run consumed no fuel")
+	}
+	m.Reset()
+	if m.Fuel != emu.DefaultFuel {
+		t.Fatalf("Reset left Fuel at %d, want DefaultFuel %d", m.Fuel, emu.DefaultFuel)
+	}
+}
+
+// TestAcquireAfterReleaseStartsClean: a machine acquired after another
+// program ran on a released machine of the same memory size must start
+// in exactly New's state and run to exactly New's outcome — no stale
+// memory, output, counts, sink or predecode.
+func TestAcquireAfterReleaseStartsClean(t *testing.T) {
+	dirty, err := asm.Assemble(`
+.data
+buf: .space 64
+.text
+.func main
+	lda r1, =buf
+	lda r2, 77(rz)
+	st.q r2, 8(r1)
+	st.q r2, -64(sp)
+	out.b r2
+	halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asm.Assemble(`
+.data
+buf: .space 64
+.text
+.func main
+	lda r1, =buf
+	ld.q r3, 8(r1)
+	ld.q r4, -64(sp)
+	add r3, r3, r4
+	out.b r3
+	halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := emu.New(p)
+	var freshEvents collector
+	fresh.Sink = &freshEvents
+	if err := fresh.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	reused := 0
+	for i := 0; i < 8; i++ {
+		d := emu.Acquire(dirty)
+		d.EnableCounts()
+		d.Sink = new(collector)
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		d.Release()
+
+		m := emu.Acquire(p)
+		if m == d {
+			reused++
+		}
+		if m.Sink != nil || m.InsCount != nil || len(m.Output) != 0 ||
+			m.Fuel != emu.DefaultFuel || m.Dyn != 0 || m.Halted {
+			t.Fatalf("acquired machine not in its initial state: sink %v counts %v output %v fuel %d dyn %d halted %v",
+				m.Sink, m.InsCount, m.Output, m.Fuel, m.Dyn, m.Halted)
+		}
+		var events collector
+		m.Sink = &events
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(m.Output, fresh.Output) || !bytes.Equal(m.Mem, fresh.Mem) ||
+			m.Regs != fresh.Regs || m.Dyn != fresh.Dyn {
+			t.Fatalf("acquired run differs from a fresh machine: output %v vs %v", m.Output, fresh.Output)
+		}
+		if len(events.events) != len(freshEvents.events) {
+			t.Fatalf("acquired run retired %d events, fresh %d", len(events.events), len(freshEvents.events))
+		}
+		for j := range events.events {
+			if events.events[j] != freshEvents.events[j] {
+				t.Fatalf("event %d: acquired %+v, fresh %+v", j, events.events[j], freshEvents.events[j])
+			}
+		}
+		m.Release()
+	}
+	// sync.Pool may drop a released machine (always possible, and on
+	// purpose under the race detector), but never all of them.
+	if reused == 0 {
+		t.Error("no Acquire reused a released machine")
+	}
+}

@@ -78,7 +78,7 @@ loop:
 	mulIdx := 1
 	prof := emu.NewProfiler([]int{mulIdx})
 	m := emu.New(p)
-	prof.Attach(m)
+	m.Sink = emu.NewPacker(p, prof)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

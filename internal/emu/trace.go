@@ -22,9 +22,14 @@ import (
 // to live emulation — a trace is an accelerator, never a correctness
 // dependency.
 //
-// Invariant: Trace.Records must deliver the records NewPacker would pack
-// from the live run it captured, and Trace.Replay the exact Event stream —
-// same values in every field, same batching shape — so any RecSink (the
+// Every live pass packs each event once: a recorder's rider (SetRider)
+// reads each range straight out of the chunk it was packed into, and
+// keeps reading from one reusable batch once the capture is dropped;
+// NewPacker is that recorder with capture off.
+//
+// Invariant: Trace.Records must deliver the records a rider sees on the
+// live run it captured, and Trace.Replay the exact Event stream — same
+// values in every field, same batching shape — so any RecSink (the
 // timing model included) or Sink can consume a replay in place of an
 // emulation without observable difference.
 
@@ -130,7 +135,8 @@ func packRecs(b *RecBatch, off int, batch []Event, meta []recMeta) int {
 }
 
 // RecSink consumes packed record batches. The batch's backing arrays may
-// be owned by a live packer and reused; consumers must not retain them.
+// be owned by a live recorder and reused; consumers must not retain or
+// modify them.
 type RecSink interface {
 	ConsumeRecs(batch RecBatch)
 }
@@ -163,22 +169,32 @@ func metaOf(p *prog.Program) []recMeta {
 }
 
 // TraceRecorder is a Sink that captures a retirement stream into a packed
-// trace. Attach it to a machine, run, then call Trace().
+// trace. Attach it to a machine, run, then call Trace(). An optional
+// rider consumes the same records as they are packed.
 type TraceRecorder struct {
-	p        *prog.Program
-	meta     []recMeta
-	budget   int64
-	bytes    int64
-	chunks   []RecBatch // full-capacity columns; all but the last are full
-	fill     int        // records in the last chunk
-	events   int64
-	overflow bool
+	p      *prog.Program
+	meta   []recMeta
+	budget int64
+	bytes  int64
+	chunks []RecBatch // full-capacity columns; all but the last are full
+	fill   int        // records in the last chunk
+	events int64
+	off    bool     // capture off: over budget, or a plain packer
+	rider  RecSink  // sees every record, captured or not
+	spill  RecBatch // reusable BatchSize batch for the rider once capture is off
 }
 
 // NewTraceRecorder returns a recorder for programs executing p, with the
 // default memory budget.
 func NewTraceRecorder(p *prog.Program) *TraceRecorder {
 	return &TraceRecorder{p: p, meta: metaOf(p), budget: DefaultTraceBudget}
+}
+
+// NewPacker returns a Sink that packs live event batches for rs when no
+// trace is wanted: a TraceRecorder with capture off, so rs reads one
+// reusable BatchSize batch. p must be the program the machine executes.
+func NewPacker(p *prog.Program, rs RecSink) Sink {
+	return &TraceRecorder{p: p, meta: metaOf(p), off: true, rider: rs}
 }
 
 // SetBudget overrides the recorder's byte budget (<= 0 keeps the default).
@@ -188,25 +204,43 @@ func (r *TraceRecorder) SetBudget(bytes int64) {
 	}
 }
 
+// SetRider makes rs consume every record of the stream, in order: each
+// range right after it is packed into the trace, and after an overflow
+// from one reusable batch, so the rider never misses the tail.
+func (r *TraceRecorder) SetRider(rs RecSink) { r.rider = rs }
+
 // Consume implements Sink: it packs the batch onto the current chunk,
 // growing chunk-by-chunk until the budget is hit, after which the capture
-// is abandoned (and its memory released).
+// is abandoned (and its memory released) and only the rider is fed.
 func (r *TraceRecorder) Consume(batch []Event) {
-	if r.overflow {
-		return
-	}
 	for len(batch) > 0 {
+		if r.off {
+			if r.rider == nil {
+				return
+			}
+			if r.spill.Idx == nil {
+				r.spill = newRecBatch(BatchSize)
+			}
+			n := packRecs(&r.spill, 0, batch, r.meta)
+			r.rider.ConsumeRecs(r.spill.slice(0, n))
+			batch = batch[n:]
+			continue
+		}
 		if len(r.chunks) == 0 || r.fill == TraceChunkEvents {
 			if r.bytes+TraceChunkEvents*recBytes > r.budget {
-				r.overflow = true
+				r.off = true
 				r.chunks = nil // release what was captured
-				return
+				continue
 			}
 			r.chunks = append(r.chunks, newRecBatch(TraceChunkEvents))
 			r.bytes += TraceChunkEvents * recBytes
 			r.fill = 0
 		}
-		n := packRecs(&r.chunks[len(r.chunks)-1], r.fill, batch, r.meta)
+		c := &r.chunks[len(r.chunks)-1]
+		n := packRecs(c, r.fill, batch, r.meta)
+		if r.rider != nil {
+			r.rider.ConsumeRecs(c.slice(r.fill, r.fill+n))
+		}
 		r.fill += n
 		r.events += int64(n)
 		batch = batch[n:]
@@ -222,7 +256,7 @@ var ErrTraceBudget = errors.New("trace capture exceeded the memory budget")
 // when the capture exceeded the memory budget (callers should fall back
 // to live emulation).
 func (r *TraceRecorder) Trace() (*Trace, error) {
-	if r.overflow {
+	if r.off {
 		return nil, fmt.Errorf("emu: %w (%d bytes) after %d events",
 			ErrTraceBudget, r.budget, r.events)
 	}
@@ -305,47 +339,5 @@ func (t *Trace) Replay(sink Sink) {
 	}
 	if n > 0 {
 		sink.Consume(buf[:n])
-	}
-}
-
-// tee fans one retirement stream out to several sinks, in order.
-type tee []Sink
-
-// Consume implements Sink.
-func (t tee) Consume(batch []Event) {
-	for _, s := range t {
-		s.Consume(batch)
-	}
-}
-
-// Tee returns a Sink that delivers every batch to each sink in order —
-// e.g. a TraceRecorder capturing the stream while a simulator consumes
-// the same live pass.
-func Tee(sinks ...Sink) Sink { return tee(sinks) }
-
-// packer adapts a live Event stream to a RecSink: each batch is packed
-// into a reusable RecBatch and forwarded. It lets packed-record consumers
-// (width histograms, profilers) run off a live emulation when no trace is
-// available, with the same zero-Ins-chasing inner loop.
-type packer struct {
-	meta []recMeta
-	rs   RecSink
-	buf  RecBatch
-}
-
-// NewPacker returns a Sink that packs live event batches for rs. p must be
-// the program the machine executes.
-func NewPacker(p *prog.Program, rs RecSink) Sink {
-	return &packer{meta: metaOf(p), rs: rs, buf: newRecBatch(BatchSize)}
-}
-
-// Consume implements Sink. Machine-owned batches never exceed BatchSize,
-// but other producers may hand in larger slices; the loop drains them in
-// buffer-sized pieces rather than dropping the tail.
-func (k *packer) Consume(batch []Event) {
-	for len(batch) > 0 {
-		n := packRecs(&k.buf, 0, batch, k.meta)
-		k.rs.ConsumeRecs(k.buf.slice(0, n))
-		batch = batch[n:]
 	}
 }

@@ -10,6 +10,17 @@ import (
 	"opgate/internal/workload"
 )
 
+// teeSink hands each batch to the recorder, then to a live collector.
+type teeSink struct {
+	rec  *emu.TraceRecorder
+	live *collector
+}
+
+func (s teeSink) Consume(batch []emu.Event) {
+	s.rec.Consume(batch)
+	s.live.Consume(batch)
+}
+
 // recordTrace runs p once with a TraceRecorder attached and returns the
 // capture alongside the live stream a plain collector saw.
 func recordTrace(t *testing.T, p *prog.Program) (*emu.Trace, *collector) {
@@ -17,7 +28,7 @@ func recordTrace(t *testing.T, p *prog.Program) (*emu.Trace, *collector) {
 	var live collector
 	rec := emu.NewTraceRecorder(p)
 	m := emu.New(p)
-	m.Sink = emu.Tee(rec, &live)
+	m.Sink = teeSink{rec, &live}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +182,8 @@ func TestTraceBudgetOverflow(t *testing.T) {
 }
 
 // TestProfilerRecordsMatchAttach: feeding the profiler from packed trace
-// records must produce the identical value tables as the legacy per-event
-// Attach path over a live run.
+// records must produce the identical value tables as attaching it to a
+// live run through NewPacker.
 func TestProfilerRecordsMatchAttach(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
 	points := []int{2, 3, 5} // store, load, add inside the loop
@@ -183,7 +194,7 @@ func TestProfilerRecordsMatchAttach(t *testing.T) {
 
 	fromAttach := emu.NewProfiler(points)
 	m := emu.New(p)
-	fromAttach.Attach(m)
+	m.Sink = emu.NewPacker(p, fromAttach)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +206,75 @@ func TestProfilerRecordsMatchAttach(t *testing.T) {
 		if !reflect.DeepEqual(a.Entries(), b.Entries()) {
 			t.Fatalf("point %d entries differ: %v vs %v", idx, a.Entries(), b.Entries())
 		}
+	}
+}
+
+// TestRiderSeesEveryRecord: a recorder's rider must see exactly the record
+// stream a plain NewPacker pass sees, whether the capture fits its budget,
+// overflows mid-run (the rider keeps reading past the dropped chunks) or
+// is over budget from the first event.
+func TestRiderSeesEveryRecord(t *testing.T) {
+	// ~60k events: the capture needs two chunks.
+	p := assembleProg(t, `
+.data
+buf: .space 8
+.text
+.func main
+	lda r1, =buf
+	lda r2, 0(rz)
+loop:
+	st.w r2, 0(r1)
+	add r2, r2, #1
+	cmplt r3, r2, #15000
+	bne r3, loop
+	halt
+`)
+	var packed recCollector
+	m := emu.New(p)
+	m.Sink = emu.NewPacker(p, &packed)
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(packed.idx) <= emu.TraceChunkEvents {
+		t.Fatalf("program retired %d events, want more than one chunk", len(packed.idx))
+	}
+	for _, c := range []struct {
+		name     string
+		budget   int64
+		captured bool
+	}{
+		{"fits", 0, true},
+		{"overflows mid-run", int64(emu.TraceChunkEvents) * 43, false}, // one chunk at 43 bytes a record
+		{"over budget at once", 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var rode recCollector
+			rec := emu.NewTraceRecorder(p)
+			rec.SetBudget(c.budget)
+			rec.SetRider(&rode)
+			m := emu.New(p)
+			m.Sink = rec
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rode, packed) {
+				t.Fatalf("rider saw %d records, packer %d (or the columns differ)", len(rode.idx), len(packed.idx))
+			}
+			tr, err := rec.Trace()
+			if !c.captured {
+				if !errors.Is(err, emu.ErrTraceBudget) {
+					t.Fatalf("err = %v, want ErrTraceBudget", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fromTrace recCollector
+			tr.Records(&fromTrace)
+			if !reflect.DeepEqual(fromTrace, packed) {
+				t.Fatal("trace records differ from the rider's stream")
+			}
+		})
 	}
 }

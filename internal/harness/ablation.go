@@ -162,7 +162,8 @@ func (s *Suite) ablate(name string, opts vrp.Options, timed bool) (ablationPoint
 			tally.ConsumeRecs(b)
 		})
 	}
-	m := emu.New(q)
+	m := emu.Acquire(q)
+	defer m.Release()
 	m.Sink = emu.NewPacker(q, rs)
 	if err := m.Run(); err != nil {
 		return pt, err

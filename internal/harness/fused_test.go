@@ -1,7 +1,13 @@
 package harness
 
 import (
+	"math"
 	"testing"
+
+	"opgate/internal/emu"
+	"opgate/internal/power"
+	"opgate/internal/uarch"
+	"opgate/internal/vrp"
 )
 
 // TestFigureMatricesEmulateOncePerVariant is the emulation-count probe of
@@ -87,5 +93,81 @@ func TestFusedReportsMatchUnfused(t *testing.T) {
 	if fused.Emulations() >= unfused.Emulations() {
 		t.Errorf("fused pipeline emulated %d times, unfused %d — fusion saved nothing",
 			fused.Emulations(), unfused.Emulations())
+	}
+}
+
+// TestOverBudgetRidersSeeEveryRecord: with a TraceBudget far below one
+// chunk every capture is dropped on its first event, yet the consumer
+// riding the capture pass must still see the whole stream. The riding
+// Sim (a two-mode bank) must equal uarch.RunModes, and the riding width
+// histogram a standalone packed pass, with the ride as the variant's
+// only emulation.
+func TestOverBudgetRidersSeeEveryRecord(t *testing.T) {
+	sims, hists := NewSuite(true), NewSuite(true)
+	sims.TraceBudget, hists.TraceBudget = 1024, 1024
+	modes := modeGroups[2]
+	for _, name := range sims.Names() {
+		for _, variant := range []string{"base", "vrp", vrsVariant(50)} {
+			at := name + "/" + variant
+			p, err := sims.variantProgram(name, variant)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			before := sims.Emulations()
+			var got []*uarch.Result
+			for _, mode := range modes {
+				r, err := sims.Sim(name, variant, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, r)
+			}
+			if n := sims.Emulations() - before; n != 1 {
+				t.Fatalf("%s: riding Sim cost %d emulations, want 1", at, n)
+			}
+			want, err := uarch.RunModes(p, sims.Uarch, sims.Power, modes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := emu.Execute(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0].Instructions != raw.Dyn {
+				t.Errorf("%s: riding Sim timed %d instructions, the program retires %d", at, got[0].Instructions, raw.Dyn)
+			}
+			for i, mode := range modes {
+				g, w := got[i], want[i]
+				if g.Cycles != w.Cycles || g.Instructions != w.Instructions || g.Energy.Accesses != w.Energy.Accesses {
+					t.Errorf("%s %v: riding Sim %d cycles / %d instructions, RunModes %d / %d",
+						at, mode, g.Cycles, g.Instructions, w.Cycles, w.Instructions)
+				}
+				for st := range power.NumStructures {
+					if math.Float64bits(g.Energy.Energy[st]) != math.Float64bits(w.Energy.Energy[st]) {
+						t.Errorf("%s %v: %v energy %v, RunModes %v", at, mode, power.Structure(st),
+							g.Energy.Energy[st], w.Energy.Energy[st])
+					}
+				}
+			}
+
+			before = hists.Emulations()
+			h, err := hists.DynWidthHistogram(name, variant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := hists.Emulations() - before; n != 1 {
+				t.Fatalf("%s: riding histogram cost %d emulations, want 1", at, n)
+			}
+			var standalone vrp.WidthHistogram
+			m := emu.New(p)
+			m.Sink = emu.NewPacker(p, widthSink{&standalone})
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if h != standalone {
+				t.Errorf("%s: riding histogram %v, standalone packed pass %v", at, h.Count, standalone.Count)
+			}
+		}
 	}
 }

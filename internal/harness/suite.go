@@ -389,17 +389,17 @@ func (s *Suite) Sim(name, variant string, mode power.GatingMode) (*uarch.Result,
 // simModes performs one fused timing pass over the variant's retirement
 // stream with a meter bank accruing every requested mode. The variant's
 // single functional emulation is shared with the trace capture: whichever
-// consumer arrives first rides the live pass (tee'd off the recorder);
+// consumer arrives first rides the live pass (the recorder's rider);
 // everyone after replays the cached trace.
 func (s *Suite) simModes(name, variant string, modes []power.GatingMode) ([]*uarch.Result, error) {
 	var rode *uarch.Sim
-	tr, err := s.traceWith(name, variant, func(p *prog.Program) (emu.Sink, error) {
+	tr, err := s.traceWith(name, variant, func(p *prog.Program) (emu.RecSink, error) {
 		sim, err := uarch.NewMulti(p, s.Uarch, s.Power, modes)
 		if err != nil {
 			return nil, err
 		}
 		rode = sim
-		return emu.NewPacker(p, sim), nil
+		return sim, nil
 	})
 	if err != nil {
 		return nil, err
@@ -430,10 +430,11 @@ func (s *Suite) simModes(name, variant string, modes []power.GatingMode) ([]*uar
 // nil when the capture exceeded the trace budget (the miss is cached too:
 // callers fall back to live emulation, once per call site). If this call
 // is the one that performs the capture, the rider factory's sink consumes
-// the same live pass — the variant's only emulation feeds the recorder
-// and its first consumer together. Callers detect whether their rider ran
-// via state captured in the factory closure.
-func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.Sink, error)) (*emu.Trace, error) {
+// the same live pass as the recorder's rider — the variant's only
+// emulation is packed once for the trace and its first consumer, even
+// past the budget. Callers detect whether their rider ran via state
+// captured in the factory closure.
+func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.RecSink, error)) (*emu.Trace, error) {
 	return s.traces.do(variantKey{name, variant}, func() (*emu.Trace, error) {
 		if workload.IsTrace(name) {
 			// Imported traces are hit-or-error: there is no emulation to
@@ -465,17 +466,19 @@ func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.S
 		}
 		rec := emu.NewTraceRecorder(p)
 		rec.SetBudget(s.TraceBudget)
-		m := emu.New(p)
-		m.Sink = rec
 		if rider != nil {
-			sink, err := rider(p)
+			rs, err := rider(p)
 			if err != nil {
 				return nil, err
 			}
-			m.Sink = emu.Tee(rec, sink)
+			rec.SetRider(rs)
 		}
+		m := emu.Acquire(p)
+		m.Sink = rec
 		s.emuRuns.Add(1)
-		if err := m.Run(); err != nil {
+		err = m.Run()
+		m.Release()
+		if err != nil {
 			return nil, fmt.Errorf("harness: trace %s/%s: %w", name, variant, err)
 		}
 		tr, err := rec.Trace()
@@ -514,9 +517,9 @@ func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
 	}
 	if !s.Unfused {
 		rode := false
-		tr, err := s.traceWith(name, variant, func(p *prog.Program) (emu.Sink, error) {
+		tr, err := s.traceWith(name, variant, func(*prog.Program) (emu.RecSink, error) {
 			rode = true
-			return emu.NewPacker(p, rs), nil
+			return rs, nil
 		})
 		if err != nil {
 			return err
@@ -533,7 +536,8 @@ func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
 	if err != nil {
 		return err
 	}
-	m := emu.New(p)
+	m := emu.Acquire(p)
+	defer m.Release()
 	m.Sink = emu.NewPacker(p, rs)
 	s.emuRuns.Add(1)
 	return m.Run()

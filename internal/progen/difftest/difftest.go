@@ -6,7 +6,9 @@
 //   - a fused uarch.RunModes pass is bit-identical to independent
 //     per-mode uarch.Run calls;
 //   - uarch.ReplayModes fed the captured trace's records is bit-identical
-//     to uarch.RunModes on the live emulation.
+//     to uarch.RunModes on the live emulation;
+//   - a pooled machine (emu.Acquire after another program's Release)
+//     runs exactly like a fresh emu.New.
 //
 // The eight hand-built kernels exercise these invariants on 16 fixed
 // (workload, input) points; driven by progen seeds, difftest turns them
@@ -269,4 +271,37 @@ func CheckFlip(period int, seed uint64, c progen.Class) error {
 		}
 	}
 	return nil
+}
+
+// CheckPooled asserts the pooled-machine invariant on p: run on a machine
+// acquired right after prev ran on a released one, p must retire exactly
+// the stream of a fresh emu.New and end in the same architectural state
+// (output, registers, every memory byte) — no page prev wrote, and none
+// of prev's predecode, may leak through. It reports whether the acquired
+// machine was prev's: sync.Pool may drop a released machine, so callers
+// tally reuse across a sweep.
+func CheckPooled(prev, p *prog.Program) (reused bool, err error) {
+	fresh, err := runBatched(p)
+	if err != nil {
+		return false, err
+	}
+	d := emu.Acquire(prev)
+	err = d.Run()
+	d.Release()
+	if err != nil {
+		return false, fmt.Errorf("previous program: %w", err)
+	}
+	m := emu.Acquire(p)
+	defer m.Release()
+	reused = m == d
+	pooled := &outcome{}
+	m.Sink = collect(&pooled.events)
+	if err := m.Run(); err != nil {
+		return reused, fmt.Errorf("pooled run (reused %v): %w", reused, err)
+	}
+	pooled.finish(m)
+	if err := diff(fresh, pooled, "fresh", "pooled"); err != nil {
+		return reused, fmt.Errorf("fresh vs pooled (reused %v): %w", reused, err)
+	}
+	return reused, nil
 }

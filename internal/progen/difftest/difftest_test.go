@@ -3,6 +3,7 @@ package difftest
 import (
 	"testing"
 
+	"opgate/internal/prog"
 	"opgate/internal/progen"
 )
 
@@ -26,6 +27,43 @@ func TestDifferentialSeedSweep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPooledReuseSweep: every seed's program, run on a machine acquired
+// right after a different seed's program was released, must behave
+// exactly like one on a fresh machine — retirement stream, output,
+// registers and memory. Consecutive checks chain across seeds and
+// families, so each machine inherits another program's dirty pages and
+// predecode.
+func TestPooledReuseSweep(t *testing.T) {
+	reused, checks := 0, 0
+	var prev *prog.Program
+	for _, f := range progen.Families() {
+		for seed := uint64(1); seed <= seedsPerFamily; seed++ {
+			p, err := progen.Generate(f, seed, progen.Small, seed%2 == 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev != nil {
+				ok, err := CheckPooled(prev, p)
+				if err != nil {
+					t.Fatalf("%s/%d: %v", f, seed, err)
+				}
+				checks++
+				if ok {
+					reused++
+				}
+			}
+			prev = p
+		}
+	}
+	// sync.Pool drops a released machine now and then (on purpose under
+	// the race detector), but a sweep that never reused one checked
+	// nothing.
+	if reused == 0 {
+		t.Fatalf("none of %d checks reused a released machine", checks)
+	}
+	t.Logf("%d of %d checks ran on a reused machine", reused, checks)
 }
 
 // TestDifferentialClasses: the same invariants hold at the larger size

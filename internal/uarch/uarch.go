@@ -80,8 +80,8 @@ type Result struct {
 
 // Sim consumes a retirement record stream once and produces timing plus
 // energy for every gating mode in its bank. It is an emu.RecSink: replay
-// hands it a trace's record batches directly, and live passes pack events
-// for it with emu.NewPacker.
+// hands it a trace's record batches directly, and a live pass feeds it as
+// a TraceRecorder's rider or through emu.NewPacker.
 //
 // The power bank is the pluggable accounting stage: one meter per
 // requested gating mode. The timing core above it is mode-independent —
@@ -268,7 +268,8 @@ func RunModes(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 	if err != nil {
 		return nil, err
 	}
-	m := emu.New(p)
+	m := emu.Acquire(p)
+	defer m.Release()
 	m.Sink = emu.NewPacker(p, s)
 	if err := m.Run(); err != nil {
 		return nil, err

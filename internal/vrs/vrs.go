@@ -176,7 +176,8 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 	// identification with the minimum-cost preliminary filter. The run is
 	// captured as a packed trace so step 2's value profiling can replay
 	// it instead of emulating the train input a second time.
-	trainMachine := emu.New(trainProg)
+	trainMachine := emu.Acquire(trainProg)
+	defer trainMachine.Release()
 	trainMachine.EnableCounts()
 	rec := emu.NewTraceRecorder(trainProg)
 	trainMachine.Sink = rec
@@ -205,8 +206,7 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 		trainTrace.Records(pf.profiler)
 	} else {
 		trainMachine.Reset()
-		trainMachine.Sink = nil
-		pf.profiler.Attach(trainMachine)
+		trainMachine.Sink = emu.NewPacker(trainProg, pf.profiler)
 		if err := trainMachine.Run(); err != nil {
 			return nil, fmt.Errorf("vrs: value profiling run: %w", err)
 		}

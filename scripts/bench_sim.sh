@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Regenerate BENCH_sim.json, the machine-readable trajectory of the
-# simulation-substrate benchmarks: emulated MIPS, trace capture/replay
-# throughput, replay-fed timing-model MIPS (one- and two-mode banks over
-# the ref kernel traces), the fused-vs-unfused cold figure matrices, the
-# single-pass threshold sweep (grid cells/s vs independent per-threshold
-# runs), and the two §4.3 ablation drivers.
+# simulation-substrate benchmarks: emulated MIPS, machine setup (fresh
+# vs pooled 8 MiB image), live capture MIPS (recorder alone and with a
+# rider), trace replay throughput, replay-fed timing-model MIPS (one- and
+# two-mode banks over the ref kernel traces), the fused-vs-unfused cold
+# figure matrices, the single-pass threshold sweep (grid cells/s vs
+# independent per-threshold runs), and the two §4.3 ablation drivers.
 #
 #   scripts/bench_sim.sh              # default: 3 timed iterations, 3 samples
 #   BENCHTIME=1x COUNT=1 scripts/bench_sim.sh # quick smoke
@@ -15,7 +16,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkEmuMIPS|BenchmarkTraceReplayMIPS|BenchmarkUarchReplayMIPS|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep|BenchmarkAblationOpcodeSets|BenchmarkAblationAnalysis'
+BENCHES='BenchmarkEmuMIPS|BenchmarkMachineSetup|BenchmarkCaptureMIPS|BenchmarkTraceReplayMIPS|BenchmarkUarchReplayMIPS|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep|BenchmarkAblationOpcodeSets|BenchmarkAblationAnalysis'
 
 # Run the benchmarks to a temp file first so a failing run aborts the
 # script (POSIX sh has no pipefail) instead of overwriting the committed
