@@ -234,31 +234,30 @@ func BenchmarkVRSSpecialize(b *testing.B) {
 	}
 }
 
-// countingSink tallies deliveries without per-event work: the cheapest
-// possible batch consumer, isolating the substrate's delivery cost.
+// countingSink tallies deliveries without per-record work: the cheapest
+// possible batch consumer, isolating the delivery cost of a live
+// machine's records (ConsumeRecs) or a replay's Events (Consume).
 type countingSink struct{ events int64 }
+
+func (c *countingSink) ConsumeRecs(batch emu.RecBatch) { c.events += int64(batch.Len()) }
 
 func (c *countingSink) Consume(batch []emu.Event) { c.events += int64(len(batch)) }
 
 // BenchmarkEmuMIPS reports emulated millions-of-instructions-per-second,
 // the metric that bounds every experiment in the evaluation. Sub-benchmarks
-// cover the raw dispatch loop (no sink), the batched sink, and the
-// per-event FuncSink adapter. The pre-refactor substrate (closure-per-step
-// + per-event callback) measured 36.1 MIPS on the same workload/machine
-// shape; the batched sink must stay ≥3× that.
+// cover the raw dispatch loop (no sink) and the loop writing its records
+// into the machine's batch for a sink. The pre-refactor substrate
+// (closure-per-step + per-event callback) measured 36.1 MIPS on the same
+// workload/machine shape; the batched sink must stay ≥3× that.
 func BenchmarkEmuMIPS(b *testing.B) {
 	w, _ := workload.ByName("compress")
 	p, _ := w.Build(workload.Train)
 	variants := []struct {
 		name string
-		sink func() emu.Sink
+		sink func() emu.RecSink
 	}{
-		{"raw", func() emu.Sink { return nil }},
-		{"batch", func() emu.Sink { return new(countingSink) }},
-		{"callback", func() emu.Sink {
-			var n int64
-			return emu.FuncSink(func(emu.Event) { n++ })
-		}},
+		{"raw", func() emu.RecSink { return nil }},
+		{"batch", func() emu.RecSink { return new(countingSink) }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -367,7 +366,7 @@ func BenchmarkMachineSetup(b *testing.B) {
 // input in emulated MIPS: a TraceRecorder alone (the capture that fills
 // the trace cache and store), and a recorder with a rider scanning the
 // op/width columns (a first consumer riding the capture pass, reading
-// each range straight out of the chunk it was packed into).
+// the machine's own record batch right after the recorder copies it).
 func BenchmarkCaptureMIPS(b *testing.B) {
 	w, _ := workload.ByName("compress")
 	p, err := w.Build(workload.Ref)

@@ -1,14 +1,14 @@
 // Package emu executes OG64 programs functionally. It is the architectural
-// reference model: the binary optimizer's equivalence checks, the value and
-// basic-block profilers, and the trace-driven timing model (internal/uarch)
-// all consume its retirement stream.
+// reference model: the binary optimizer's equivalence checks, the value
+// profiler, and the trace-driven timing model (internal/uarch) all consume
+// its retirement stream.
 //
-// The retirement stream is delivered in batches: attach a Sink to a Machine
-// and Consume is called with slices of Events drawn from a reusable buffer
-// owned by the machine. Per-event callbacks remain one-liners via the
-// FuncSink adapter. Run executes a tight dispatch loop over a predecoded
-// form of the program; Step is a thin single-instruction wrapper for
-// debuggers and tests (it flushes its event immediately).
+// The retirement stream is packed records (RecBatch): attach a RecSink to
+// a Machine and the dispatch loop writes each retired instruction's record
+// straight into a machine-owned batch, handed over every BatchSize
+// records. Run executes a tight dispatch loop over a predecoded form of
+// the program; Step is a thin single-instruction wrapper for debuggers and
+// tests (it flushes its record immediately).
 package emu
 
 import (
@@ -24,55 +24,22 @@ import (
 // DefaultFuel bounds execution length; workloads finish well below it.
 const DefaultFuel = 200_000_000
 
-// BatchSize is the capacity of the machine-owned event buffer: sinks see
-// batches of at most this many events.
+// BatchSize is the capacity of the machine-owned record batch: sinks see
+// batches of at most this many records.
 const BatchSize = 4096
 
-// Event describes one retired instruction for trace consumers.
-type Event struct {
-	Idx   int              // static instruction index
-	Ins   *isa.Instruction // the instruction (points into the program)
-	Next  int              // index of the next instruction to execute
-	Taken bool             // branch outcome (conditional branches)
-	Addr  int64            // effective address (loads/stores)
-	Value int64            // result value (dest write, store data, or out)
-	SrcA  int64            // value of first source operand
-	SrcB  int64            // value of second source operand / store data
-}
-
-// Sink receives the retirement stream in batches. The batch slice is owned
-// by the machine and reused: consumers must not retain it past the call
-// (copy events out if they need to).
-type Sink interface {
-	Consume(batch []Event)
-}
-
-// FuncSink adapts a per-event function to the batched Sink interface, so
-// one-off consumers stay one-liners: m.Sink = emu.FuncSink(func(ev emu.Event) {...}).
-type FuncSink func(Event)
-
-// Consume delivers each event of the batch to the wrapped function in
-// retirement order.
-func (f FuncSink) Consume(batch []Event) {
-	for i := range batch {
-		f(batch[i])
-	}
-}
-
-// decIns is the predecoded form of one static instruction: operand
-// registers, the immediate flag, and width-derived constants are resolved
-// once so the dispatch loop does no per-event re-derivation.
+// decIns is the predecoded form of one static instruction: operands,
+// width-derived constants and the record's static columns are resolved
+// once so the dispatch loop does no per-record re-derivation.
 type decIns struct {
-	ins    *isa.Instruction // original instruction, for events
-	imm    int64            // immediate operand / memory offset
-	zmask  int64            // zero-extension mask for the opcode width (-1 for W64)
-	target int32            // branch/call target
-	op     isa.Op
+	imm    int64 // immediate operand / memory offset
+	zmask  int64 // zero-extension mask for the opcode width (-1 for W64)
+	target int32 // branch/call target
+	recMeta
 	rd     uint8
 	ra     uint8
 	rb     uint8
 	shift  uint8 // 64 - width bits: sign-extension shift for the opcode width
-	wbytes uint8 // width in bytes
 	hasImm bool
 }
 
@@ -89,17 +56,30 @@ type Machine struct {
 	Fuel int64
 	// Dyn is the number of retired instructions.
 	Dyn int64
-	// InsCount[i] counts executions of static instruction i (the paper's
-	// InstCount(D)). Allocated lazily by EnableCounts.
-	InsCount []int64
 
-	// Sink receives every retired instruction, in batches, when non-nil.
-	Sink Sink
+	// Sink receives each retired instruction's record, in batches, if non-nil.
+	Sink RecSink
 
 	dec    []decIns      // predecoded program, built lazily on first run
 	decSrc *prog.Program // program the predecode was built from
-	buf    []Event       // reusable batch buffer handed to Sink
+	recs   *recBuf       // reusable record batch handed to Sink
 	dirty  []uint64      // bitmap of written memory pages, so Reset zeroes only touched pages
+}
+
+// recBuf backs the machine's record batch with fixed-size columns.
+type recBuf struct {
+	idx, next               [BatchSize]int32
+	op, wbytes, flags       [BatchSize]uint8
+	addr, value, srcA, srcB [BatchSize]int64
+}
+
+// batch returns the first n records as a RecBatch.
+func (r *recBuf) batch(n int) RecBatch {
+	return RecBatch{
+		Idx: r.idx[:n], Next: r.next[:n],
+		Op: r.op[:n], WBytes: r.wbytes[:n], Flags: r.flags[:n],
+		Addr: r.addr[:n], Value: r.value[:n], SrcA: r.srcA[:n], SrcB: r.srcB[:n],
+	}
 }
 
 // pageShift/pageBytes size the dirty-page granularity: workload memory
@@ -161,12 +141,10 @@ func Acquire(p *prog.Program) *Machine {
 
 // Release hands m back for a later Acquire. Ownership ends here: after
 // Release the caller must not use m, and must not read its Mem or Output
-// (the next owner reuses both); an InsCount slice taken earlier stays
-// the caller's. Release drops the sink, the counts and the program, so
-// the pool keeps no consumer alive.
+// (the next owner reuses both). Release drops the sink and the program,
+// so the pool keeps no consumer alive.
 func (m *Machine) Release() {
 	m.Sink = nil
-	m.InsCount = nil
 	m.P = nil
 	m.decSrc = nil
 	poolOf(int64(len(m.Mem))).Put(m)
@@ -213,13 +191,7 @@ func (m *Machine) Reset() {
 	m.Output = m.Output[:0]
 	m.Fuel = DefaultFuel
 	m.Dyn = 0
-	if m.InsCount != nil {
-		m.InsCount = make([]int64, len(m.P.Ins))
-	}
 }
-
-// EnableCounts switches on per-static-instruction execution counting.
-func (m *Machine) EnableCounts() { m.InsCount = make([]int64, len(m.P.Ins)) }
 
 // decode predecodes the program into the dispatch loop's flat form. The
 // cache is keyed on the program pointer, so swapping m.P takes effect on
@@ -235,8 +207,7 @@ func (m *Machine) decode() {
 	for i := range ins {
 		in := &ins[i]
 		d := &dec[i]
-		d.ins = in
-		d.op = in.Op
+		d.recMeta = metaFor(in)
 		d.rd = uint8(in.Rd)
 		d.ra = uint8(in.Ra)
 		d.rb = uint8(in.Rb)
@@ -244,7 +215,6 @@ func (m *Machine) decode() {
 		d.hasImm = in.HasImm
 		d.target = int32(in.Target)
 		d.shift = uint8(64 - in.Width.Bits())
-		d.wbytes = uint8(in.Width.Bytes())
 		if in.Width == isa.W64 {
 			d.zmask = -1
 		} else {
@@ -259,15 +229,15 @@ func (m *Machine) decode() {
 // exhaustion; it returns an error on traps (bad memory, bad PC, fuel).
 func (m *Machine) Run() error { return m.run(-1) }
 
-// Step executes one instruction. Its event (when a Sink is attached) is
-// delivered immediately as a one-element batch.
+// Step executes one instruction. Its record (when a Sink is attached) is
+// delivered immediately as a one-record batch.
 func (m *Machine) Step() error { return m.run(1) }
 
 const zr = uint8(isa.ZeroReg)
 
 // run is the dispatch loop shared by Run and Step: it executes up to limit
-// instructions (limit < 0 means until halt/trap/fuel), buffering retirement
-// events and flushing them to the Sink in batches.
+// instructions (limit < 0 means until halt/trap/fuel), writing each record
+// into the machine's batch and handing full batches to the Sink.
 func (m *Machine) run(limit int64) error {
 	if m.Halted || limit == 0 {
 		return nil
@@ -276,20 +246,19 @@ func (m *Machine) run(limit int64) error {
 		m.decode()
 	}
 	record := m.Sink != nil
-	if record && m.buf == nil {
-		m.buf = make([]Event, BatchSize)
+	if record && m.recs == nil {
+		m.recs = new(recBuf)
 	}
 
 	dec := m.dec
-	buf := m.buf
+	b := m.recs
 	regs := &m.Regs
-	counts := m.InsCount
 	mem := m.Mem
 	dirty := m.dirty
 	base := m.P.DataBase
 	pc := m.PC
 	halted := false
-	n := 0 // buffered events
+	n := 0 // records in the batch
 
 	budget := m.Fuel
 	if limit >= 0 && limit < budget {
@@ -298,7 +267,6 @@ func (m *Machine) run(limit int64) error {
 
 	var executed int64
 	var runErr error
-	var scratch Event // event target when no sink is attached
 
 loop:
 	for executed < budget {
@@ -309,25 +277,16 @@ loop:
 		d := &dec[pc]
 		idx := pc
 		executed++
-		if counts != nil {
-			counts[idx]++
-		}
 
 		ra := regs[d.ra&31]
 		rb := d.imm
 		if !d.hasImm {
 			rb = regs[d.rb&31]
 		}
-		// Cases write Addr/Taken/SrcB straight into the event slot (the
-		// scratch event absorbs them when no sink is attached).
-		ev := &scratch
-		if record {
-			ev = &buf[n]
-			*ev = Event{Idx: idx, Ins: d.ins, SrcA: ra, SrcB: rb}
-		}
 		next := idx + 1
 		wr := false
-		var val int64
+		fl := d.flags // the record's flags: RecWritesDest, plus RecTaken below
+		var val, addr int64
 
 		switch d.op {
 		case isa.OpLDA:
@@ -339,14 +298,13 @@ loop:
 			wr = true
 
 		case isa.OpLD:
-			addr := ra + d.imm
+			addr = ra + d.imm
 			off := addr - base
 			nb := int64(d.wbytes)
-			if off < 0 || off+nb > int64(len(mem)) {
+			if off < 0 || off > int64(len(mem))-nb {
 				runErr = fmt.Errorf("emu: pc %d: load of %d bytes at %#x out of bounds", idx, nb, addr)
 				break loop
 			}
-			ev.Addr = addr
 			switch d.wbytes {
 			case 1:
 				val = int64(mem[off]) // zero-extended, like Alpha LDBU
@@ -360,16 +318,15 @@ loop:
 			wr = true
 
 		case isa.OpST:
-			addr := ra + d.imm
+			addr = ra + d.imm
 			data := regs[d.rb&31]
+			rb = data // the record's SrcB is the store data
 			off := addr - base
 			nb := int64(d.wbytes)
-			if off < 0 || off+nb > int64(len(mem)) {
+			if off < 0 || off > int64(len(mem))-nb {
 				runErr = fmt.Errorf("emu: pc %d: store of %d bytes at %#x out of bounds", idx, nb, addr)
 				break loop
 			}
-			ev.Addr = addr
-			ev.SrcB = data
 			switch d.wbytes {
 			case 1:
 				mem[off] = byte(data)
@@ -461,18 +418,7 @@ loop:
 			wr = true
 
 		case isa.OpCMOVEQ, isa.OpCMOVNE, isa.OpCMOVLT, isa.OpCMOVGE:
-			cond := false
-			switch d.op {
-			case isa.OpCMOVEQ:
-				cond = ra == 0
-			case isa.OpCMOVNE:
-				cond = ra != 0
-			case isa.OpCMOVLT:
-				cond = ra < 0
-			case isa.OpCMOVGE:
-				cond = ra >= 0
-			}
-			if cond {
+			if isa.CondHolds(d.op, ra) {
 				sh := d.shift
 				val = rb << sh >> sh
 				wr = true
@@ -482,35 +428,20 @@ loop:
 
 		case isa.OpBR:
 			next = int(d.target)
-			ev.Taken = true
+			fl |= RecTaken
 		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBGT, isa.OpBLE:
-			taken := false
-			switch d.op {
-			case isa.OpBEQ:
-				taken = ra == 0
-			case isa.OpBNE:
-				taken = ra != 0
-			case isa.OpBLT:
-				taken = ra < 0
-			case isa.OpBGE:
-				taken = ra >= 0
-			case isa.OpBGT:
-				taken = ra > 0
-			case isa.OpBLE:
-				taken = ra <= 0
-			}
-			if taken {
+			if isa.CondHolds(d.op, ra) {
 				next = int(d.target)
+				fl |= RecTaken
 			}
-			ev.Taken = taken
 		case isa.OpJSR:
 			val = int64(idx + 1)
 			wr = true
 			next = int(d.target)
-			ev.Taken = true
+			fl |= RecTaken
 		case isa.OpRET:
 			next = int(ra)
-			ev.Taken = true
+			fl |= RecTaken
 		case isa.OpHALT:
 			halted = true
 			next = idx
@@ -529,11 +460,19 @@ loop:
 			regs[d.rd&31] = val
 		}
 		if record {
-			ev.Next = next
-			ev.Value = val
+			i := n & (BatchSize - 1) // always n: the mask drops nine bounds checks
+			b.idx[i] = int32(idx)
+			b.next[i] = int32(next)
+			b.op[i] = uint8(d.op)
+			b.wbytes[i] = d.wbytes
+			b.flags[i] = fl
+			b.addr[i] = addr
+			b.value[i] = val
+			b.srcA[i] = ra
+			b.srcB[i] = rb
 			n++
-			if n == len(buf) {
-				m.Sink.Consume(buf)
+			if n == BatchSize {
+				m.Sink.ConsumeRecs(b.batch(n))
 				n = 0
 			}
 		}
@@ -543,16 +482,16 @@ loop:
 		}
 	}
 
-	// Commit architectural state and flush the retired events. An
+	// Commit architectural state and flush the retired records. An
 	// instruction that trapped mid-execution (bad memory, bad opcode)
-	// consumed fuel and counted towards Dyn but produced no event; an
+	// consumed fuel and counted towards Dyn but produced no record; an
 	// out-of-range PC traps before any of that.
 	m.PC = pc
 	m.Dyn += executed
 	m.Fuel -= executed
 	m.Halted = halted
 	if record && n > 0 {
-		m.Sink.Consume(buf[:n])
+		m.Sink.ConsumeRecs(b.batch(n))
 	}
 	if runErr != nil {
 		return runErr
@@ -574,7 +513,7 @@ func b2i(b bool) int64 {
 // result checking).
 func (m *Machine) LoadBytes(addr, n int64) ([]byte, error) {
 	off := addr - m.P.DataBase
-	if off < 0 || off+n > int64(len(m.Mem)) {
+	if n < 0 || off < 0 || off > int64(len(m.Mem))-n {
 		return nil, fmt.Errorf("emu: read of %d bytes at %#x out of bounds", n, addr)
 	}
 	out := make([]byte, n)
@@ -586,7 +525,7 @@ func (m *Machine) LoadBytes(addr, n int64) ([]byte, error) {
 // (workload inputs).
 func (m *Machine) StoreBytes(addr int64, data []byte) error {
 	off := addr - m.P.DataBase
-	if off < 0 || off+int64(len(data)) > int64(len(m.Mem)) {
+	if off < 0 || off > int64(len(m.Mem))-int64(len(data)) {
 		return fmt.Errorf("emu: write of %d bytes at %#x out of bounds", len(data), addr)
 	}
 	copy(m.Mem[off:], data)

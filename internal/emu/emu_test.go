@@ -2,6 +2,7 @@ package emu_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"opgate/internal/asm"
@@ -141,14 +142,43 @@ func TestGPAndSPInitialised(t *testing.T) {
 	}
 }
 
+// TestMemoryBoundsTrap: an access outside the memory image traps with an
+// error — including one whose offset lies within the access width of
+// MaxInt64, where a naive off+n bound would wrap — and never panics.
 func TestMemoryBoundsTrap(t *testing.T) {
-	p, err := asm.Assemble(".func main\nld.q r1, 0(rz)\nhalt\n")
+	// r1 = MinInt64 + 2^32 - 1: its offset from the 2^32 data base is
+	// MaxInt64.
+	const wrapped = "lda r1, 1(rz)\nsll r1, r1, #63\nlda r2, 1(rz)\nsll r2, r2, #32\nsub r2, r2, #1\nadd r1, r1, r2\n"
+	for name, body := range map[string]string{
+		"below the data base": "ld.q r1, 0(rz)\n",
+		"wrapped load":        wrapped + "ld.q r3, 0(r1)\n",
+		"wrapped store":       wrapped + "st.q r2, 0(r1)\n",
+	} {
+		p, err := asm.Assemble(".func main\n" + body + "halt\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := emu.New(p)
+		if err := m.Run(); err == nil {
+			t.Errorf("%s: the access must trap", name)
+		}
+	}
+
+	p, err := asm.Assemble(".func main\nhalt\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := emu.New(p)
-	if err := m.Run(); err == nil {
-		t.Error("load from address 0 must trap (below the data base)")
+	top := p.DataBase
+	top += math.MaxInt64 // wraps: top - DataBase is MaxInt64
+	if _, err := m.LoadBytes(top, 8); err == nil {
+		t.Error("LoadBytes at a wrapped offset must fail")
+	}
+	if _, err := m.LoadBytes(p.DataBase, -1); err == nil {
+		t.Error("LoadBytes of a negative length must fail")
+	}
+	if err := m.StoreBytes(top, make([]byte, 8)); err == nil {
+		t.Error("StoreBytes at a wrapped offset must fail")
 	}
 }
 
@@ -177,16 +207,29 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Per-static counts are a tally of the record stream's Idx column.
+	counts := make([]int64, len(p.Ins))
 	m := emu.New(p)
-	m.EnableCounts()
+	m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+		for _, idx := range b.Idx {
+			counts[idx]++
+		}
+	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.InsCount[1] != 10 {
-		t.Errorf("add executed %d times, want 10", m.InsCount[1])
+	if counts[1] != 10 {
+		t.Errorf("add executed %d times, want 10", counts[1])
 	}
-	if m.InsCount[0] != 1 {
-		t.Errorf("init executed %d times, want 1", m.InsCount[0])
+	if counts[0] != 1 {
+		t.Errorf("init executed %d times, want 1", counts[0])
+	}
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	if total != m.Dyn {
+		t.Errorf("counts sum to %d, the machine retired %d", total, m.Dyn)
 	}
 }
 
@@ -206,21 +249,22 @@ buf: .space 16
 		t.Fatal(err)
 	}
 	m := emu.New(p)
-	var events []emu.Event
-	m.Sink = emu.FuncSink(func(ev emu.Event) { events = append(events, ev) })
+	var recs collector
+	m.Sink = &recs
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 5 {
-		t.Fatalf("traced %d events, want 5", len(events))
+	if len(recs.recs) != 5 {
+		t.Fatalf("traced %d records, want 5", len(recs.recs))
 	}
-	st := events[2]
-	if st.Ins.Op != isa.OpST || st.Addr != p.DataBase+4 || st.Value != 99 {
-		t.Errorf("store event = %+v", st)
+	st := recs.recs[2]
+	if isa.Op(st.Op) != isa.OpST || st.WBytes != 4 || st.Addr != p.DataBase+4 || st.Value != 99 ||
+		st.SrcB != 99 || st.Flags != 0 {
+		t.Errorf("store record = %+v", st)
 	}
-	ld := events[3]
-	if ld.Ins.Op != isa.OpLD || ld.Value != 99 {
-		t.Errorf("load event = %+v", ld)
+	ld := recs.recs[3]
+	if isa.Op(ld.Op) != isa.OpLD || ld.Addr != p.DataBase+4 || ld.Value != 99 || ld.Flags != emu.RecWritesDest {
+		t.Errorf("load record = %+v", ld)
 	}
 }
 
@@ -272,7 +316,7 @@ loop:
 // TestAcquireAfterReleaseStartsClean: a machine acquired after another
 // program ran on a released machine of the same memory size must start
 // in exactly New's state and run to exactly New's outcome — no stale
-// memory, output, counts, sink or predecode.
+// memory, output, sink or predecode.
 func TestAcquireAfterReleaseStartsClean(t *testing.T) {
 	dirty, err := asm.Assemble(`
 .data
@@ -305,8 +349,8 @@ buf: .space 64
 		t.Fatal(err)
 	}
 	fresh := emu.New(p)
-	var freshEvents collector
-	fresh.Sink = &freshEvents
+	var freshRecs collector
+	fresh.Sink = &freshRecs
 	if err := fresh.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +358,6 @@ buf: .space 64
 	reused := 0
 	for i := 0; i < 8; i++ {
 		d := emu.Acquire(dirty)
-		d.EnableCounts()
 		d.Sink = new(collector)
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
@@ -325,13 +368,13 @@ buf: .space 64
 		if m == d {
 			reused++
 		}
-		if m.Sink != nil || m.InsCount != nil || len(m.Output) != 0 ||
+		if m.Sink != nil || len(m.Output) != 0 ||
 			m.Fuel != emu.DefaultFuel || m.Dyn != 0 || m.Halted {
-			t.Fatalf("acquired machine not in its initial state: sink %v counts %v output %v fuel %d dyn %d halted %v",
-				m.Sink, m.InsCount, m.Output, m.Fuel, m.Dyn, m.Halted)
+			t.Fatalf("acquired machine not in its initial state: sink %v output %v fuel %d dyn %d halted %v",
+				m.Sink, m.Output, m.Fuel, m.Dyn, m.Halted)
 		}
-		var events collector
-		m.Sink = &events
+		var recs collector
+		m.Sink = &recs
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -339,12 +382,12 @@ buf: .space 64
 			m.Regs != fresh.Regs || m.Dyn != fresh.Dyn {
 			t.Fatalf("acquired run differs from a fresh machine: output %v vs %v", m.Output, fresh.Output)
 		}
-		if len(events.events) != len(freshEvents.events) {
-			t.Fatalf("acquired run retired %d events, fresh %d", len(events.events), len(freshEvents.events))
+		if len(recs.recs) != len(freshRecs.recs) {
+			t.Fatalf("acquired run retired %d records, fresh %d", len(recs.recs), len(freshRecs.recs))
 		}
-		for j := range events.events {
-			if events.events[j] != freshEvents.events[j] {
-				t.Fatalf("event %d: acquired %+v, fresh %+v", j, events.events[j], freshEvents.events[j])
+		for j := range recs.recs {
+			if recs.recs[j] != freshRecs.recs[j] {
+				t.Fatalf("record %d: acquired %+v, fresh %+v", j, recs.recs[j], freshRecs.recs[j])
 			}
 		}
 		m.Release()

@@ -193,8 +193,7 @@ func (t *TNVTable) CoverageRange(frac float64) (min, max int64, freq float64, ok
 	return min, max, float64(covered) / float64(t.Total), true
 }
 
-// Profiler collects basic-block execution counts (via Machine.InsCount)
-// and per-instruction value profiles at selected points.
+// Profiler collects per-instruction value profiles at selected points.
 type Profiler struct {
 	Points map[int]*TNVTable // instruction index -> value table
 }

@@ -78,7 +78,7 @@ loop:
 	mulIdx := 1
 	prof := emu.NewProfiler([]int{mulIdx})
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, prof)
+	m.Sink = prof
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,43 @@ import (
 	"opgate/internal/workload"
 )
 
-// collector retains a copy of every event it consumes, plus the batch
-// sizes it saw (the batch slice itself is machine-owned and reused).
+// record is one retirement record: a row of an emu.RecBatch.
+type record struct {
+	Idx, Next               int32
+	Op, WBytes, Flags       uint8
+	Addr, Value, SrcA, SrcB int64
+}
+
+// collector retains a copy of every record it consumes, plus the batch
+// sizes it saw (the batch itself is machine-owned and reused).
 type collector struct {
-	events  []emu.Event
+	recs    []record
 	batches []int
 }
 
-func (c *collector) Consume(batch []emu.Event) {
-	c.events = append(c.events, batch...)
-	c.batches = append(c.batches, len(batch))
+func (c *collector) ConsumeRecs(b emu.RecBatch) {
+	for i := range b.Idx {
+		c.recs = append(c.recs, record{
+			Idx: b.Idx[i], Next: b.Next[i],
+			Op: b.Op[i], WBytes: b.WBytes[i], Flags: b.Flags[i],
+			Addr: b.Addr[i], Value: b.Value[i], SrcA: b.SrcA[i], SrcB: b.SrcB[i],
+		})
+	}
+	c.batches = append(c.batches, b.Len())
 }
 
-// branchyProgram exercises every event field: memory traffic, taken and
+// events collects Trace.Replay's Events, plus the batch sizes it saw.
+type events struct {
+	evs     []emu.Event
+	batches []int
+}
+
+func (e *events) Consume(batch []emu.Event) {
+	e.evs = append(e.evs, batch...)
+	e.batches = append(e.batches, len(batch))
+}
+
+// branchyProgram exercises every record column: memory traffic, taken and
 // not-taken branches, calls, and output.
 const branchyProgram = `
 .data
@@ -46,9 +70,9 @@ loop:
 `
 
 // TestBatchedRunMatchesStepStream is the tentpole equivalence check: the
-// batched Run dispatch loop must deliver byte-for-byte the same event
+// batched Run dispatch loop must deliver byte-for-byte the same record
 // stream as executing the same program one Step at a time (each Step
-// flushes its event immediately, which is the legacy per-event shape).
+// flushes its record immediately, a one-record batch).
 func TestBatchedRunMatchesStepStream(t *testing.T) {
 	programs := map[string]func(t *testing.T) *prog.Program{
 		"branchy": func(t *testing.T) *prog.Program { return assembleProg(t, branchyProgram) },
@@ -84,24 +108,24 @@ func TestBatchedRunMatchesStepStream(t *testing.T) {
 				}
 			}
 
-			if len(batched.events) != len(stepped.events) {
-				t.Fatalf("batched run delivered %d events, stepped run %d",
-					len(batched.events), len(stepped.events))
+			if len(batched.recs) != len(stepped.recs) {
+				t.Fatalf("batched run delivered %d records, stepped run %d",
+					len(batched.recs), len(stepped.recs))
 			}
-			for i := range batched.events {
-				if !reflect.DeepEqual(batched.events[i], stepped.events[i]) {
-					t.Fatalf("event %d differs:\nbatched: %+v\nstepped: %+v",
-						i, batched.events[i], stepped.events[i])
+			for i := range batched.recs {
+				if batched.recs[i] != stepped.recs[i] {
+					t.Fatalf("record %d differs:\nbatched: %+v\nstepped: %+v",
+						i, batched.recs[i], stepped.recs[i])
 				}
 			}
-			// Every stepped batch is a single event; the batched run must
-			// have actually used multi-event batches.
+			// Every stepped batch is a single record; the batched run must
+			// have actually used multi-record batches.
 			for _, n := range stepped.batches {
 				if n != 1 {
-					t.Fatalf("Step delivered a batch of %d events, want 1", n)
+					t.Fatalf("Step delivered a batch of %d records, want 1", n)
 				}
 			}
-			if len(batched.events) > 1 {
+			if len(batched.recs) > 1 {
 				max := 0
 				for _, n := range batched.batches {
 					if n > max {
@@ -109,8 +133,8 @@ func TestBatchedRunMatchesStepStream(t *testing.T) {
 					}
 				}
 				if max < 2 {
-					t.Fatalf("Run delivered %d events but no batch larger than %d — batching is not happening",
-						len(batched.events), max)
+					t.Fatalf("Run delivered %d records but no batch larger than %d — batching is not happening",
+						len(batched.recs), max)
 				}
 			}
 			if mb.Dyn != ms.Dyn || !reflect.DeepEqual(mb.Regs, ms.Regs) {
@@ -120,28 +144,38 @@ func TestBatchedRunMatchesStepStream(t *testing.T) {
 	}
 }
 
-// TestFuncSinkMatchesBatchOrder: the per-event adapter sees the identical
-// stream in the identical order as a batch consumer.
+// TestFuncSinkMatchesBatchOrder: a trace's Replay through the per-event
+// FuncSink adapter rebuilds the live record stream in retirement order,
+// every field of every Event, with Ins pointing into the program.
 func TestFuncSinkMatchesBatchOrder(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
 
-	var batched collector
-	mb := emu.New(p)
-	mb.Sink = &batched
-	if err := mb.Run(); err != nil {
+	var live collector
+	rec := emu.NewTraceRecorder(p)
+	rec.SetRider(&live)
+	m := emu.New(p)
+	m.Sink = rec
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rec.Trace()
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	var viaFunc []emu.Event
-	mf := emu.New(p)
-	mf.Sink = emu.FuncSink(func(ev emu.Event) { viaFunc = append(viaFunc, ev) })
-	if err := mf.Run(); err != nil {
-		t.Fatal(err)
+	tr.Replay(emu.FuncSink(func(ev emu.Event) { viaFunc = append(viaFunc, ev) }))
+	if len(viaFunc) != len(live.recs) {
+		t.Fatalf("FuncSink replay delivered %d events, the live run %d records", len(viaFunc), len(live.recs))
 	}
-
-	if !reflect.DeepEqual(batched.events, viaFunc) {
-		t.Fatalf("FuncSink stream differs from batch stream (%d vs %d events)",
-			len(batched.events), len(viaFunc))
+	for i, r := range live.recs {
+		want := emu.Event{
+			Idx: int(r.Idx), Ins: &p.Ins[r.Idx], Next: int(r.Next), Taken: r.Flags&emu.RecTaken != 0,
+			Addr: r.Addr, Value: r.Value, SrcA: r.SrcA, SrcB: r.SrcB,
+		}
+		if viaFunc[i] != want {
+			t.Fatalf("event %d = %+v, want %+v (from record %+v)", i, viaFunc[i], want, r)
+		}
 	}
 }
 

@@ -4,44 +4,43 @@ import (
 	"errors"
 	"fmt"
 
+	"opgate/internal/isa"
 	"opgate/internal/prog"
 )
 
-// This file is the trace-capture/replay layer: a retirement stream is
-// recorded once into a compact packed form and then replayed any number of
-// times — into Event sinks at memcpy-like speed, or as struct-of-arrays
-// record batches that carry the opcode and operand width inline so
-// consumers never chase *isa.Instruction per event.
+// This file is the trace-capture/replay layer: the machine's retirement
+// records are captured once into a packed trace and then streamed any
+// number of times as RecBatch columns, or rebuilt as Events for
+// consumers that want the instruction itself (Replay).
 //
 // Layout: records are stored column-wise (struct of arrays) in fixed-size
-// chunks of TraceChunkEvents events. One event costs recBytes (43) bytes:
-// two int32s (static index, next index), three bytes (op, width in bytes,
-// flags), and four int64s (addr, value, srcA, srcB). A recorder refuses to
-// grow past its byte budget (DefaultTraceBudget unless overridden): the
-// capture is dropped, Trace() reports the overflow, and callers fall back
-// to live emulation — a trace is an accelerator, never a correctness
-// dependency.
+// chunks of TraceChunkEvents records. One record costs recBytes (43)
+// bytes: two int32s (static index, next index), three bytes (op, width in
+// bytes, flags), and four int64s (addr, value, srcA, srcB). A recorder
+// refuses to grow past its byte budget (DefaultTraceBudget unless
+// overridden): the capture is dropped, Trace() reports the overflow, and
+// callers fall back to live emulation — a trace is an accelerator, never
+// a correctness dependency.
 //
-// Every live pass packs each event once: a recorder's rider (SetRider)
-// reads each range straight out of the chunk it was packed into, and
-// keeps reading from one reusable batch once the capture is dropped;
-// NewPacker is that recorder with capture off.
+// Every record is written once, by the dispatch loop into the machine's
+// batch, and copied once, by a recorder into its chunk; a recorder's
+// rider (SetRider) reads the machine's batch itself, whether the capture
+// is kept or dropped.
 //
 // Invariant: Trace.Records must deliver the records a rider sees on the
-// live run it captured, and Trace.Replay the exact Event stream — same
-// values in every field, same batching shape — so any RecSink (the
-// timing model included) or Sink can consume a replay in place of an
-// emulation without observable difference.
+// live run it captured, and Trace.Replay the Events those records
+// describe, so any RecSink (the timing model included) can consume a
+// replay in place of an emulation without observable difference.
 
-// TraceChunkEvents is the number of events per packed-trace chunk
-// (a multiple of BatchSize, so replay batch boundaries match a live run).
+// TraceChunkEvents is the number of records per packed-trace chunk
+// (a multiple of BatchSize, so live batches never straddle chunks).
 const TraceChunkEvents = 1 << 15
 
-// recBytes is the packed per-event footprint: idx(4) + next(4) + op(1) +
+// recBytes is the packed per-record footprint: idx(4) + next(4) + op(1) +
 // width(1) + flags(1) + addr/value/srcA/srcB (4×8).
 const recBytes = 4 + 4 + 1 + 1 + 1 + 4*8
 
-// DefaultTraceBudget caps one recorded trace at 64 MiB (~1.6M events),
+// DefaultTraceBudget caps one recorded trace at 64 MiB (~1.6M records),
 // comfortably above the largest suite workload (~28 MB) while bounding a
 // runaway capture to a few chunks' worth of error latency.
 const DefaultTraceBudget = 64 << 20
@@ -68,13 +67,20 @@ type RecBatch struct {
 	WBytes []uint8 // operand width in bytes (isa.Width value)
 	Flags  []uint8 // RecTaken | RecWritesDest
 	Addr   []int64 // effective address (loads/stores)
-	Value  []int64 // result value
+	Value  []int64 // result value (dest write, store data, or out)
 	SrcA   []int64 // first source operand
 	SrcB   []int64 // second source operand / store data
 }
 
 // Len returns the number of records in the batch.
 func (b *RecBatch) Len() int { return len(b.Idx) }
+
+// ragged reports whether the batch's columns differ in length.
+func (b *RecBatch) ragged() bool {
+	n := b.Len()
+	return len(b.Next) != n || len(b.Op) != n || len(b.WBytes) != n || len(b.Flags) != n ||
+		len(b.Addr) != n || len(b.Value) != n || len(b.SrcA) != n || len(b.SrcB) != n
+}
 
 // slice returns the sub-batch [lo, hi).
 func (b *RecBatch) slice(lo, hi int) RecBatch {
@@ -86,8 +92,7 @@ func (b *RecBatch) slice(lo, hi int) RecBatch {
 	}
 }
 
-// newRecBatch allocates a batch with n (zeroed) records; packRecs fills
-// them in place.
+// newRecBatch allocates a batch with n (zeroed) records.
 func newRecBatch(n int) RecBatch {
 	return RecBatch{
 		Idx: make([]int32, n), Next: make([]int32, n),
@@ -97,46 +102,24 @@ func newRecBatch(n int) RecBatch {
 	}
 }
 
-// packRecs packs events column-wise into b starting at offset off and
-// returns how many fit (bulk indexed stores — this is the capture hot
-// loop, so no per-event slice-header updates).
-func packRecs(b *RecBatch, off int, batch []Event, meta []recMeta) int {
-	n := len(b.Idx) - off
-	if len(batch) < n {
-		n = len(batch)
-	}
-	idxs := b.Idx[off : off+n]
-	nexts := b.Next[off : off+n]
-	ops := b.Op[off : off+n]
-	wbs := b.WBytes[off : off+n]
-	flags := b.Flags[off : off+n]
-	addrs := b.Addr[off : off+n]
-	values := b.Value[off : off+n]
-	srcAs := b.SrcA[off : off+n]
-	srcBs := b.SrcB[off : off+n]
-	for i := range idxs {
-		ev := &batch[i]
-		m := meta[ev.Idx]
-		idxs[i] = int32(ev.Idx)
-		nexts[i] = int32(ev.Next)
-		ops[i] = m.op
-		wbs[i] = m.wbytes
-		fl := m.flags
-		if ev.Taken {
-			fl |= RecTaken
-		}
-		flags[i] = fl
-		addrs[i] = ev.Addr
-		values[i] = ev.Value
-		srcAs[i] = ev.SrcA
-		srcBs[i] = ev.SrcB
-	}
+// copyAt copies the leading records of src into b from record off on and
+// returns how many fit.
+func (b *RecBatch) copyAt(off int, src RecBatch) int {
+	n := copy(b.Idx[off:], src.Idx)
+	copy(b.Next[off:], src.Next)
+	copy(b.Op[off:], src.Op)
+	copy(b.WBytes[off:], src.WBytes)
+	copy(b.Flags[off:], src.Flags)
+	copy(b.Addr[off:], src.Addr)
+	copy(b.Value[off:], src.Value)
+	copy(b.SrcA[off:], src.SrcA)
+	copy(b.SrcB[off:], src.SrcB)
 	return n
 }
 
 // RecSink consumes packed record batches. The batch's backing arrays may
-// be owned by a live recorder and reused; consumers must not retain or
-// modify them.
+// be owned by a machine or a recorder and reused; consumers must not
+// retain or modify them.
 type RecSink interface {
 	ConsumeRecs(batch RecBatch)
 }
@@ -150,51 +133,39 @@ func (f RecFunc) ConsumeRecs(b RecBatch) { f(b) }
 
 // recMeta is the per-static-instruction metadata folded into each record.
 type recMeta struct {
-	op     uint8
+	op     isa.Op
 	wbytes uint8
 	flags  uint8 // RecWritesDest when the instruction writes a register
 }
 
-// metaOf precomputes the per-static record metadata for a program.
-func metaOf(p *prog.Program) []recMeta {
-	meta := make([]recMeta, len(p.Ins))
-	for i := range p.Ins {
-		in := &p.Ins[i]
-		meta[i] = recMeta{op: uint8(in.Op), wbytes: uint8(in.Width)}
-		if _, ok := in.Dest(); ok {
-			meta[i].flags = RecWritesDest
-		}
+// metaFor derives one instruction's record metadata: the machine's
+// predecode and restore validation both go through it.
+func metaFor(in *isa.Instruction) recMeta {
+	m := recMeta{op: in.Op, wbytes: uint8(in.Width)}
+	if _, ok := in.Dest(); ok {
+		m.flags = RecWritesDest
 	}
-	return meta
+	return m
 }
 
-// TraceRecorder is a Sink that captures a retirement stream into a packed
-// trace. Attach it to a machine, run, then call Trace(). An optional
-// rider consumes the same records as they are packed.
+// TraceRecorder is a RecSink that captures a retirement stream into a
+// packed trace. Attach it to a machine, run, then call Trace(). An
+// optional rider consumes the same batches after they are captured.
 type TraceRecorder struct {
 	p      *prog.Program
-	meta   []recMeta
 	budget int64
 	bytes  int64
 	chunks []RecBatch // full-capacity columns; all but the last are full
 	fill   int        // records in the last chunk
 	events int64
-	off    bool     // capture off: over budget, or a plain packer
-	rider  RecSink  // sees every record, captured or not
-	spill  RecBatch // reusable BatchSize batch for the rider once capture is off
+	off    bool    // over budget: the capture is dropped
+	rider  RecSink // sees every record, captured or not
 }
 
 // NewTraceRecorder returns a recorder for programs executing p, with the
 // default memory budget.
 func NewTraceRecorder(p *prog.Program) *TraceRecorder {
-	return &TraceRecorder{p: p, meta: metaOf(p), budget: DefaultTraceBudget}
-}
-
-// NewPacker returns a Sink that packs live event batches for rs when no
-// trace is wanted: a TraceRecorder with capture off, so rs reads one
-// reusable BatchSize batch. p must be the program the machine executes.
-func NewPacker(p *prog.Program, rs RecSink) Sink {
-	return &TraceRecorder{p: p, meta: metaOf(p), off: true, rider: rs}
+	return &TraceRecorder{p: p, budget: DefaultTraceBudget}
 }
 
 // SetBudget overrides the recorder's byte budget (<= 0 keeps the default).
@@ -205,45 +176,33 @@ func (r *TraceRecorder) SetBudget(bytes int64) {
 }
 
 // SetRider makes rs consume every record of the stream, in order: each
-// range right after it is packed into the trace, and after an overflow
-// from one reusable batch, so the rider never misses the tail.
+// batch right after it is copied into the trace, and after an overflow
+// too, so the rider never misses the tail.
 func (r *TraceRecorder) SetRider(rs RecSink) { r.rider = rs }
 
-// Consume implements Sink: it packs the batch onto the current chunk,
-// growing chunk-by-chunk until the budget is hit, after which the capture
-// is abandoned (and its memory released) and only the rider is fed.
-func (r *TraceRecorder) Consume(batch []Event) {
-	for len(batch) > 0 {
-		if r.off {
-			if r.rider == nil {
-				return
-			}
-			if r.spill.Idx == nil {
-				r.spill = newRecBatch(BatchSize)
-			}
-			n := packRecs(&r.spill, 0, batch, r.meta)
-			r.rider.ConsumeRecs(r.spill.slice(0, n))
-			batch = batch[n:]
-			continue
-		}
+// ConsumeRecs implements RecSink: it copies the batch onto the current
+// chunk, growing chunk-by-chunk until the budget is hit, after which the
+// capture is abandoned (and its memory released); then it hands the same
+// batch to the rider.
+func (r *TraceRecorder) ConsumeRecs(b RecBatch) {
+	for lo := 0; lo < b.Len() && !r.off; {
 		if len(r.chunks) == 0 || r.fill == TraceChunkEvents {
 			if r.bytes+TraceChunkEvents*recBytes > r.budget {
 				r.off = true
 				r.chunks = nil // release what was captured
-				continue
+				break
 			}
 			r.chunks = append(r.chunks, newRecBatch(TraceChunkEvents))
 			r.bytes += TraceChunkEvents * recBytes
 			r.fill = 0
 		}
-		c := &r.chunks[len(r.chunks)-1]
-		n := packRecs(c, r.fill, batch, r.meta)
-		if r.rider != nil {
-			r.rider.ConsumeRecs(c.slice(r.fill, r.fill+n))
-		}
+		n := r.chunks[len(r.chunks)-1].copyAt(r.fill, b.slice(lo, b.Len()))
 		r.fill += n
 		r.events += int64(n)
-		batch = batch[n:]
+		lo += n
+	}
+	if r.rider != nil {
+		r.rider.ConsumeRecs(b)
 	}
 }
 
@@ -269,7 +228,7 @@ func (r *TraceRecorder) Trace() (*Trace, error) {
 }
 
 // Trace is an immutable packed retirement trace: the full observable
-// stream of one program execution, replayable into any Sink or RecSink.
+// stream of one program execution, replayable into any RecSink or Sink.
 type Trace struct {
 	p      *prog.Program
 	chunks []RecBatch
@@ -297,10 +256,42 @@ func (t *Trace) Records(rs RecSink) {
 	}
 }
 
-// Replay reconstructs the recorded Event stream and delivers it to sink in
-// BatchSize batches — the exact stream (and batching shape) a live
-// emulation with that sink would have produced. The batch buffer is reused
-// across calls to sink.Consume, mirroring the machine's contract.
+// Event is one retired instruction rebuilt from its record by
+// Trace.Replay, for consumers that want the instruction itself.
+type Event struct {
+	Idx   int              // static instruction index
+	Ins   *isa.Instruction // the instruction (points into the program)
+	Next  int              // index of the next instruction to execute
+	Taken bool             // branch outcome (conditional branches)
+	Addr  int64            // effective address (loads/stores)
+	Value int64            // result value (dest write, store data, or out)
+	SrcA  int64            // value of first source operand
+	SrcB  int64            // value of second source operand / store data
+}
+
+// Sink receives Trace.Replay's Events in batches. The batch slice is
+// reused: consumers must not retain it past the call (copy events out if
+// they need to).
+type Sink interface {
+	Consume(batch []Event)
+}
+
+// FuncSink adapts a per-event function to Sink, so one-off replay
+// consumers stay one-liners: t.Replay(emu.FuncSink(func(ev emu.Event) {...})).
+type FuncSink func(Event)
+
+// Consume delivers each event of the batch to the wrapped function in
+// retirement order.
+func (f FuncSink) Consume(batch []Event) {
+	for i := range batch {
+		f(batch[i])
+	}
+}
+
+// Replay rebuilds the recorded stream as Events — every record's fields,
+// with Ins pointing at the program's instruction — and delivers them to
+// sink in BatchSize batches. The batch buffer is reused across calls to
+// sink.Consume.
 func (t *Trace) Replay(sink Sink) {
 	ins := t.p.Ins
 	buf := make([]Event, BatchSize)

@@ -2,7 +2,9 @@ package emu
 
 import (
 	"fmt"
+	"math"
 
+	"opgate/internal/isa"
 	"opgate/internal/prog"
 )
 
@@ -23,15 +25,13 @@ import (
 // keeps ownership of recs.
 func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 	n := recs.Len()
-	for _, l := range [...]int{
-		len(recs.Next), len(recs.Op), len(recs.WBytes), len(recs.Flags),
-		len(recs.Addr), len(recs.Value), len(recs.SrcA), len(recs.SrcB),
-	} {
-		if l != n {
-			return nil, fmt.Errorf("emu: restore: ragged record columns (%d vs %d)", l, n)
-		}
+	if recs.ragged() {
+		return nil, fmt.Errorf("emu: restore: ragged record columns")
 	}
-	meta := metaOf(p)
+	meta := make([]recMeta, len(p.Ins))
+	for i := range p.Ins {
+		meta[i] = metaFor(&p.Ins[i])
+	}
 	for i := 0; i < n; i++ {
 		idx := recs.Idx[i]
 		if idx < 0 || int(idx) >= len(p.Ins) {
@@ -42,7 +42,7 @@ func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 			return nil, fmt.Errorf("emu: restore: record %d: next index %d outside program", i, next)
 		}
 		m := meta[idx]
-		if recs.Op[i] != m.op || recs.WBytes[i] != m.wbytes {
+		if isa.Op(recs.Op[i]) != m.op || recs.WBytes[i] != m.wbytes {
 			return nil, fmt.Errorf("emu: restore: record %d: op/width %d/%d does not match program instruction %d (%d/%d)",
 				i, recs.Op[i], recs.WBytes[i], idx, m.op, m.wbytes)
 		}
@@ -52,28 +52,9 @@ func NewTraceFromRecords(p *prog.Program, recs RecBatch) (*Trace, error) {
 		}
 	}
 
-	// Repack into full-capacity chunks, mirroring TraceRecorder's storage
-	// (and its byte accounting) so a restored trace is indistinguishable
-	// from a freshly captured one.
-	t := &Trace{p: p, events: int64(n)}
-	for off := 0; off < n; off += TraceChunkEvents {
-		end := off + TraceChunkEvents
-		if end > n {
-			end = n
-		}
-		chunk := newRecBatch(TraceChunkEvents)
-		src := recs.slice(off, end)
-		copy(chunk.Idx, src.Idx)
-		copy(chunk.Next, src.Next)
-		copy(chunk.Op, src.Op)
-		copy(chunk.WBytes, src.WBytes)
-		copy(chunk.Flags, src.Flags)
-		copy(chunk.Addr, src.Addr)
-		copy(chunk.Value, src.Value)
-		copy(chunk.SrcA, src.SrcA)
-		copy(chunk.SrcB, src.SrcB)
-		t.chunks = append(t.chunks, chunk.slice(0, end-off))
-		t.bytes += TraceChunkEvents * recBytes
-	}
-	return t, nil
+	// A recorder with no budget stores (and byte-accounts) a restored
+	// trace exactly like a freshly captured one.
+	r := &TraceRecorder{p: p, budget: math.MaxInt64}
+	r.ConsumeRecs(recs)
+	return r.Trace()
 }

@@ -26,7 +26,8 @@ func flatten(tr *emu.Trace) emu.RecBatch {
 }
 
 // TestRestoreRoundTrip: a trace rebuilt from its own flattened records
-// replays the identical event stream and reports the identical shape.
+// streams the identical records, replays the identical events and
+// reports the identical shape.
 func TestRestoreRoundTrip(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
 	tr, live := recordTrace(t, p)
@@ -39,10 +40,16 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored shape drifted: len %d/%d bytes %d/%d",
 			restored.Len(), tr.Len(), restored.Bytes(), tr.Bytes())
 	}
-	var replayed collector
+	var recs collector
+	restored.Records(&recs)
+	if !reflect.DeepEqual(recs.recs, live.recs) {
+		t.Fatal("restored trace streams different records than the live run")
+	}
+	var replayed, original events
 	restored.Replay(&replayed)
-	if !reflect.DeepEqual(replayed.events, live.events) {
-		t.Fatal("restored trace replays a different stream than the live run")
+	tr.Replay(&original)
+	if !reflect.DeepEqual(replayed, original) {
+		t.Fatal("restored trace replays a different stream than the captured one")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // from, this file synthesizes that program when only the trace exists —
 // an externally captured retirement stream carries its per-static table
 // (opcode, operand width, writes-dest) inline in every record, which is
-// exactly the metadata metaOf derives from a real binary. A skeleton
+// exactly the metadata metaFor derives from a real binary. A skeleton
 // built from that table validates and replays the record stream
 // bit-for-bit, so arbitrary real binaries become first-class workloads
 // without an emulator for their ISA. Consumers that read only the
@@ -44,13 +44,8 @@ const MaxSkeletonIns = 1 << 20
 // skeleton is a deterministic hash of the static table alone.
 func NewProgramFromTrace(recs RecBatch) (*prog.Program, error) {
 	n := recs.Len()
-	for _, l := range [...]int{
-		len(recs.Next), len(recs.Op), len(recs.WBytes), len(recs.Flags),
-		len(recs.Addr), len(recs.Value), len(recs.SrcA), len(recs.SrcB),
-	} {
-		if l != n {
-			return nil, fmt.Errorf("emu: ingest: ragged record columns (%d vs %d)", l, n)
-		}
+	if recs.ragged() {
+		return nil, fmt.Errorf("emu: ingest: ragged record columns")
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("emu: ingest: empty trace has no static table")

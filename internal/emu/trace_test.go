@@ -6,23 +6,25 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/prog"
 	"opgate/internal/workload"
 )
 
-// teeSink hands each batch to the recorder, then to a live collector.
+// teeSink hands each record batch to the recorder, then to a live
+// collector.
 type teeSink struct {
 	rec  *emu.TraceRecorder
 	live *collector
 }
 
-func (s teeSink) Consume(batch []emu.Event) {
-	s.rec.Consume(batch)
-	s.live.Consume(batch)
+func (s teeSink) ConsumeRecs(b emu.RecBatch) {
+	s.rec.ConsumeRecs(b)
+	s.live.ConsumeRecs(b)
 }
 
 // recordTrace runs p once with a TraceRecorder attached and returns the
-// capture alongside the live stream a plain collector saw.
+// capture alongside the live record stream a plain collector saw.
 func recordTrace(t *testing.T, p *prog.Program) (*emu.Trace, *collector) {
 	t.Helper()
 	var live collector
@@ -40,8 +42,9 @@ func recordTrace(t *testing.T, p *prog.Program) (*emu.Trace, *collector) {
 }
 
 // TestTraceReplayMatchesLive is the trace layer's tentpole invariant: the
-// replayed stream must be byte-for-byte the live retirement stream — every
-// Event field identical, and the same batching shape.
+// replayed Events must describe the live record stream exactly — every
+// field identical, Ins pointing into the program — in the same batching
+// shape.
 func TestTraceReplayMatchesLive(t *testing.T) {
 	programs := map[string]func(t *testing.T) *prog.Program{
 		"branchy": func(t *testing.T) *prog.Program { return assembleProg(t, branchyProgram) },
@@ -62,18 +65,20 @@ func TestTraceReplayMatchesLive(t *testing.T) {
 			p := build(t)
 			tr, live := recordTrace(t, p)
 
-			if tr.Len() != int64(len(live.events)) {
-				t.Fatalf("trace recorded %d events, live run delivered %d", tr.Len(), len(live.events))
+			if tr.Len() != int64(len(live.recs)) {
+				t.Fatalf("trace recorded %d records, live run delivered %d", tr.Len(), len(live.recs))
 			}
-			var replayed collector
+			var replayed events
 			tr.Replay(&replayed)
-			if len(replayed.events) != len(live.events) {
-				t.Fatalf("replay delivered %d events, live %d", len(replayed.events), len(live.events))
+			if len(replayed.evs) != len(live.recs) {
+				t.Fatalf("replay delivered %d events, live %d records", len(replayed.evs), len(live.recs))
 			}
-			for i := range live.events {
-				if !reflect.DeepEqual(replayed.events[i], live.events[i]) {
-					t.Fatalf("event %d differs:\nreplay: %+v\nlive:   %+v",
-						i, replayed.events[i], live.events[i])
+			for i, r := range live.recs {
+				ev := replayed.evs[i]
+				if ev.Idx != int(r.Idx) || ev.Ins != &p.Ins[r.Idx] || ev.Next != int(r.Next) ||
+					ev.Taken != (r.Flags&emu.RecTaken != 0) || ev.Addr != r.Addr ||
+					ev.Value != r.Value || ev.SrcA != r.SrcA || ev.SrcB != r.SrcB {
+					t.Fatalf("event %d differs:\nreplay: %+v\nlive:   %+v", i, ev, r)
 				}
 			}
 			if !reflect.DeepEqual(replayed.batches, live.batches) {
@@ -81,79 +86,63 @@ func TestTraceReplayMatchesLive(t *testing.T) {
 			}
 			// A second replay must deliver the same stream again (the
 			// trace is immutable).
-			var again collector
+			var again events
 			tr.Replay(&again)
-			if !reflect.DeepEqual(again.events, replayed.events) {
+			if !reflect.DeepEqual(again.evs, replayed.evs) {
 				t.Fatal("second replay differs from first")
 			}
 		})
 	}
 }
 
-// recCollector copies packed record columns out of the (reused) batches.
-type recCollector struct {
-	idx           []int32
-	op, wb, flags []uint8
-	value         []int64
-}
-
-func (c *recCollector) ConsumeRecs(b emu.RecBatch) {
-	c.idx = append(c.idx, b.Idx...)
-	c.op = append(c.op, b.Op...)
-	c.wb = append(c.wb, b.WBytes...)
-	c.flags = append(c.flags, b.Flags...)
-	c.value = append(c.value, b.Value...)
-}
-
-// TestRecordsCarryOpWidthAndFlags: the packed record's folded-in columns
-// must agree with the instruction each event retired — replay consumers
-// never need to chase Event.Ins to learn op, width, or destination-write.
+// TestRecordsCarryOpWidthAndFlags: the folded-in columns must agree with
+// the instruction each record retired, and the taken flag with the
+// control flow — record consumers never need the instruction to learn
+// op, width, destination-write or branch outcome.
 func TestRecordsCarryOpWidthAndFlags(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
-	tr, live := recordTrace(t, p)
+	_, live := recordTrace(t, p)
 
-	var recs recCollector
-	tr.Records(&recs)
-	if len(recs.idx) != len(live.events) {
-		t.Fatalf("records delivered %d entries, live %d", len(recs.idx), len(live.events))
-	}
-	for i, ev := range live.events {
-		if int(recs.idx[i]) != ev.Idx {
-			t.Fatalf("record %d idx %d != event idx %d", i, recs.idx[i], ev.Idx)
+	taken := 0
+	for i, r := range live.recs {
+		in := &p.Ins[r.Idx]
+		if isa.Op(r.Op) != in.Op || r.WBytes != uint8(in.Width) {
+			t.Fatalf("record %d op/width (%d,%d) != instruction (%v,%v)", i, r.Op, r.WBytes, in.Op, in.Width)
 		}
-		if recs.op[i] != uint8(ev.Ins.Op) || recs.wb[i] != uint8(ev.Ins.Width) {
-			t.Fatalf("record %d op/width (%d,%d) != instruction (%v,%v)",
-				i, recs.op[i], recs.wb[i], ev.Ins.Op, ev.Ins.Width)
-		}
-		if taken := recs.flags[i]&emu.RecTaken != 0; taken != ev.Taken {
-			t.Fatalf("record %d taken %v != event %v", i, taken, ev.Taken)
-		}
-		_, writes := ev.Ins.Dest()
-		if got := recs.flags[i]&emu.RecWritesDest != 0; got != writes {
+		_, writes := in.Dest()
+		if got := r.Flags&emu.RecWritesDest != 0; got != writes {
 			t.Fatalf("record %d writes-dest %v != instruction %v", i, got, writes)
 		}
-		if recs.value[i] != ev.Value {
-			t.Fatalf("record %d value %d != event %d", i, recs.value[i], ev.Value)
+		if r.Flags&emu.RecTaken != 0 {
+			taken++
+			if in.Op != isa.OpRET && int(r.Next) != in.Target {
+				t.Fatalf("record %d taken but next %d != target %d", i, r.Next, in.Target)
+			}
+		} else if int(r.Next) != int(r.Idx)+1 && in.Op != isa.OpHALT {
+			t.Fatalf("record %d not taken but next %d != %d", i, r.Next, r.Idx+1)
 		}
+	}
+	if taken == 0 {
+		t.Fatal("no record carried the taken flag")
 	}
 }
 
-// TestPackerMatchesTraceRecords: packing a live stream on the fly must
-// yield the same record columns as capturing a trace and reading it back.
+// TestPackerMatchesTraceRecords: the records a live machine emits must be
+// the records a captured trace streams back.
 func TestPackerMatchesTraceRecords(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
 	tr, _ := recordTrace(t, p)
-	var fromTrace recCollector
+	var fromTrace collector
 	tr.Records(&fromTrace)
 
-	var livePacked recCollector
+	var live collector
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, &livePacked)
+	m.Sink = &live
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(livePacked, fromTrace) {
-		t.Fatal("live-packed record stream differs from trace records")
+	if !reflect.DeepEqual(live.recs, fromTrace.recs) {
+		t.Fatal("live record stream differs from trace records")
 	}
 }
 
@@ -183,7 +172,7 @@ func TestTraceBudgetOverflow(t *testing.T) {
 
 // TestProfilerRecordsMatchAttach: feeding the profiler from packed trace
 // records must produce the identical value tables as attaching it to a
-// live run through NewPacker.
+// live run as the machine's sink.
 func TestProfilerRecordsMatchAttach(t *testing.T) {
 	p := assembleProg(t, branchyProgram)
 	points := []int{2, 3, 5} // store, load, add inside the loop
@@ -194,7 +183,7 @@ func TestProfilerRecordsMatchAttach(t *testing.T) {
 
 	fromAttach := emu.NewProfiler(points)
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, fromAttach)
+	m.Sink = fromAttach
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +199,7 @@ func TestProfilerRecordsMatchAttach(t *testing.T) {
 }
 
 // TestRiderSeesEveryRecord: a recorder's rider must see exactly the record
-// stream a plain NewPacker pass sees, whether the capture fits its budget,
+// stream a plain live pass sees, whether the capture fits its budget,
 // overflows mid-run (the rider keeps reading past the dropped chunks) or
 // is over budget from the first event.
 func TestRiderSeesEveryRecord(t *testing.T) {
@@ -229,14 +218,14 @@ loop:
 	bne r3, loop
 	halt
 `)
-	var packed recCollector
+	var live collector
 	m := emu.New(p)
-	m.Sink = emu.NewPacker(p, &packed)
+	m.Sink = &live
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(packed.idx) <= emu.TraceChunkEvents {
-		t.Fatalf("program retired %d events, want more than one chunk", len(packed.idx))
+	if len(live.recs) <= emu.TraceChunkEvents {
+		t.Fatalf("program retired %d records, want more than one chunk", len(live.recs))
 	}
 	for _, c := range []struct {
 		name     string
@@ -248,7 +237,7 @@ loop:
 		{"over budget at once", 1, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			var rode recCollector
+			var rode collector
 			rec := emu.NewTraceRecorder(p)
 			rec.SetBudget(c.budget)
 			rec.SetRider(&rode)
@@ -257,8 +246,9 @@ loop:
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(rode, packed) {
-				t.Fatalf("rider saw %d records, packer %d (or the columns differ)", len(rode.idx), len(packed.idx))
+			if !reflect.DeepEqual(rode, live) {
+				t.Fatalf("rider saw %d records, the live pass %d (or the records or batches differ)",
+					len(rode.recs), len(live.recs))
 			}
 			tr, err := rec.Trace()
 			if !c.captured {
@@ -270,9 +260,9 @@ loop:
 			if err != nil {
 				t.Fatal(err)
 			}
-			var fromTrace recCollector
+			var fromTrace collector
 			tr.Records(&fromTrace)
-			if !reflect.DeepEqual(fromTrace, packed) {
+			if !reflect.DeepEqual(fromTrace.recs, live.recs) {
 				t.Fatal("trace records differ from the rider's stream")
 			}
 		})

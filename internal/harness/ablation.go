@@ -164,7 +164,7 @@ func (s *Suite) ablate(name string, opts vrp.Options, timed bool) (ablationPoint
 	}
 	m := emu.Acquire(q)
 	defer m.Release()
-	m.Sink = emu.NewPacker(q, rs)
+	m.Sink = rs
 	if err := m.Run(); err != nil {
 		return pt, err
 	}

@@ -55,7 +55,7 @@ func TestAblationPointsMatchIndependentRuns(t *testing.T) {
 		q := r.Apply()
 		var hist vrp.WidthHistogram
 		m := emu.New(q)
-		m.Sink = emu.NewPacker(q, widthSink{&hist})
+		m.Sink = widthSink{&hist}
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}

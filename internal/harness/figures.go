@@ -155,7 +155,7 @@ func (s *Suite) Figure6(ctx context.Context, threshold float64) (*Report, error)
 			return Row{}, err
 		}
 		// Per-static execution counts come from the variant's cached
-		// trace records; no fresh emulation or InsCount run is needed.
+		// trace records; no fresh emulation is needed.
 		variant := vrsVariant(threshold)
 		p, err := s.variantProgram(name, variant)
 		if err != nil {

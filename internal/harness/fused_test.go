@@ -161,12 +161,12 @@ func TestOverBudgetRidersSeeEveryRecord(t *testing.T) {
 			}
 			var standalone vrp.WidthHistogram
 			m := emu.New(p)
-			m.Sink = emu.NewPacker(p, widthSink{&standalone})
+			m.Sink = widthSink{&standalone}
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
 			if h != standalone {
-				t.Errorf("%s: riding histogram %v, standalone packed pass %v", at, h.Count, standalone.Count)
+				t.Errorf("%s: riding histogram %v, standalone pass %v", at, h.Count, standalone.Count)
 			}
 		}
 	}

@@ -501,9 +501,9 @@ func (s *Suite) traceWith(name, variant string, rider func(*prog.Program) (emu.R
 
 // recordsOf streams the packed retirement records of a variant into rs:
 // riding the capture pass when this is the variant's first consumer, from
-// the cached trace when one exists, else from a live emulation packed on
-// the fly. Consumers read op/width/value columns directly and never
-// dereference per-event instruction pointers.
+// the cached trace when one exists, else straight from a live emulation.
+// Consumers read op/width/value columns directly and never dereference
+// per-event instruction pointers.
 func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
 	if workload.IsTrace(name) {
 		// Always via the trace path, even Unfused: replay is the imported
@@ -538,7 +538,7 @@ func (s *Suite) recordsOf(name, variant string, rs emu.RecSink) error {
 	}
 	m := emu.Acquire(p)
 	defer m.Release()
-	m.Sink = emu.NewPacker(p, rs)
+	m.Sink = rs
 	s.emuRuns.Add(1)
 	return m.Run()
 }

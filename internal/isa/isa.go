@@ -317,6 +317,27 @@ func IsCondBranch(op Op) bool {
 	return false
 }
 
+// CondHolds reports whether the condition of a conditional branch or
+// conditional move with opcode op holds for the condition operand v; it
+// is false for every other opcode.
+func CondHolds(op Op, v int64) bool {
+	switch op {
+	case OpBEQ, OpCMOVEQ:
+		return v == 0
+	case OpBNE, OpCMOVNE:
+		return v != 0
+	case OpBLT, OpCMOVLT:
+		return v < 0
+	case OpBGE, OpCMOVGE:
+		return v >= 0
+	case OpBGT:
+		return v > 0
+	case OpBLE:
+		return v <= 0
+	}
+	return false
+}
+
 // IsMem reports whether op accesses data memory.
 func IsMem(op Op) bool { return op == OpLD || op == OpST }
 

@@ -3,6 +3,8 @@ package difftest
 import (
 	"testing"
 
+	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/prog"
 	"opgate/internal/progen"
 )
@@ -26,6 +28,65 @@ func TestDifferentialSeedSweep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecordStreamOracle: the record-stream oracle notices a wrong value
+// in any column of any stream, a dropped taken flag, and wrong store
+// data — even when every stream agrees, as they would if the emulator
+// itself emitted the wrong record.
+func TestRecordStreamOracle(t *testing.T) {
+	p, err := progen.Generate(progen.Churn, 3, progen.Small, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, _, err := runBatched(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taken, store := -1, -1
+	for i, r := range o.recs {
+		if taken < 0 && r.Flags&emu.RecTaken != 0 {
+			taken = i
+		}
+		if isa.Op(r.Op) == isa.OpST {
+			store = i // the last store: no later one overwrites its bytes
+		}
+	}
+	if taken < 0 || store < 0 {
+		t.Fatalf("program retired no taken branch (%d) or no store (%d)", taken, store)
+	}
+
+	// Every column is compared between streams.
+	for name, mutate := range map[string]func(r *record){
+		"idx": func(r *record) { r.Idx++ }, "next": func(r *record) { r.Next++ },
+		"op": func(r *record) { r.Op++ }, "wbytes": func(r *record) { r.WBytes++ },
+		"flags": func(r *record) { r.Flags ^= emu.RecTaken }, "addr": func(r *record) { r.Addr++ },
+		"value": func(r *record) { r.Value++ }, "srcA": func(r *record) { r.SrcA++ },
+		"srcB": func(r *record) { r.SrcB++ },
+	} {
+		bad := *o
+		bad.recs = append(records(nil), o.recs...)
+		mutate(&bad.recs[len(bad.recs)/2])
+		if diff(o, &bad, "run", "mutated") == nil {
+			t.Errorf("diff missed a changed %s column", name)
+		}
+	}
+
+	// The semantic check needs no second stream.
+	initial := emu.New(p).Mem
+	for name, mutate := range map[string]func(rs records){
+		"dropped taken flag": func(rs records) { rs[taken].Flags &^= emu.RecTaken },
+		"wrong store data":   func(rs records) { rs[store].SrcB = ^rs[store].SrcB },
+	} {
+		bad := append(records(nil), o.recs...)
+		mutate(bad)
+		if checkSemantics(p, bad, append([]byte(nil), initial...), o.mem) == nil {
+			t.Errorf("checkSemantics missed a %s", name)
+		}
+	}
+	if err := checkSemantics(p, o.recs, append([]byte(nil), initial...), o.mem); err != nil {
+		t.Fatalf("checkSemantics rejected the faithful stream: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/vrp"
 )
 
@@ -102,23 +103,25 @@ func TestPhasedRanges(t *testing.T) {
 
 // phaseShares emulates a composite and returns each phase's dynamic
 // 64-bit share of width-bearing instructions, attributing every retired
-// event to the phase whose [Start, End) range holds its static index.
-// Events outside every range (a stream phase's deferred callee) are
+// record to the phase whose [Start, End) range holds its static index.
+// Records outside every range (a stream phase's deferred callee) are
 // counted into the phase that called them — the one whose range holds
 // the JSR — by tracking the last in-range phase.
 func phaseShares(t *testing.T, p *emu.Machine, phases []Phase) []float64 {
 	t.Helper()
 	hists := make([]vrp.WidthHistogram, len(phases))
 	current := 0
-	p.Sink = emu.FuncSink(func(ev emu.Event) {
-		for i := range phases {
-			if ev.Idx >= phases[i].Start && ev.Idx < phases[i].End {
-				current = i
-				break
+	p.Sink = emu.RecFunc(func(b emu.RecBatch) {
+		for j, idx := range b.Idx {
+			for i := range phases {
+				if int(idx) >= phases[i].Start && int(idx) < phases[i].End {
+					current = i
+					break
+				}
 			}
-		}
-		if vrp.CountsWidth(ev.Ins.Op) {
-			hists[current].Add(ev.Ins.Width, 1)
+			if vrp.CountsWidth(isa.Op(b.Op[j])) {
+				hists[current].Add(isa.Width(b.WBytes[j]), 1)
+			}
 		}
 	})
 	if err := p.Run(); err != nil {
@@ -179,9 +182,11 @@ func TestFlipCharacter(t *testing.T) {
 		}
 		var h vrp.WidthHistogram
 		m := emu.New(p)
-		m.Sink = emu.FuncSink(func(ev emu.Event) {
-			if vrp.CountsWidth(ev.Ins.Op) {
-				h.Add(ev.Ins.Width, 1)
+		m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+			for i, op := range b.Op {
+				if vrp.CountsWidth(isa.Op(op)) {
+					h.Add(isa.Width(b.WBytes[i]), 1)
+				}
 			}
 		})
 		if err := m.Run(); err != nil {

@@ -81,7 +81,7 @@ type Result struct {
 // Sim consumes a retirement record stream once and produces timing plus
 // energy for every gating mode in its bank. It is an emu.RecSink: replay
 // hands it a trace's record batches directly, and a live pass feeds it as
-// a TraceRecorder's rider or through emu.NewPacker.
+// a TraceRecorder's rider or as the machine's sink.
 //
 // The power bank is the pluggable accounting stage: one meter per
 // requested gating mode. The timing core above it is mode-independent —
@@ -270,7 +270,7 @@ func RunModes(p *prog.Program, cfg Config, params power.Params, modes []power.Ga
 	}
 	m := emu.Acquire(p)
 	defer m.Release()
-	m.Sink = emu.NewPacker(p, s)
+	m.Sink = s
 	if err := m.Run(); err != nil {
 		return nil, err
 	}

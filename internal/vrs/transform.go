@@ -290,7 +290,7 @@ func constPropClone(ed *prog.Editor, p *prog.Program, pt *Point, clones map[int]
 				if in.Ra == isa.ZeroReg {
 					v = 0
 				}
-				if branchTaken(in.Op, v) {
+				if isa.CondHolds(in.Op, v) {
 					ed.Replace(n, isa.Instruction{Op: isa.OpBR, Target: in.Target})
 				} else {
 					ed.Delete(n)
@@ -317,25 +317,6 @@ func constPropClone(ed *prog.Editor, p *prog.Program, pt *Point, clones map[int]
 		}
 	}
 	return deleted
-}
-
-// branchTaken decides a conditional branch with a constant condition.
-func branchTaken(op isa.Op, v int64) bool {
-	switch op {
-	case isa.OpBEQ:
-		return v == 0
-	case isa.OpBNE:
-		return v != 0
-	case isa.OpBLT:
-		return v < 0
-	case isa.OpBGE:
-		return v >= 0
-	case isa.OpBGT:
-		return v > 0
-	case isa.OpBLE:
-		return v <= 0
-	}
-	return false
 }
 
 // deadCloneNodes returns clone instructions whose destinations have no

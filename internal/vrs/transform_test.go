@@ -117,10 +117,13 @@ func TestBranchTaken(t *testing.T) {
 		{isa.OpBNE, 0, false}, {isa.OpBNE, -1, true},
 		{isa.OpBLT, -1, true}, {isa.OpBLT, 0, false},
 		{isa.OpBGE, 0, true}, {isa.OpBGT, 1, true}, {isa.OpBLE, 0, true},
+		{isa.OpCMOVEQ, 0, true}, {isa.OpCMOVNE, 0, false},
+		{isa.OpCMOVLT, -1, true}, {isa.OpCMOVGE, -1, false},
+		{isa.OpBR, 0, false}, {isa.OpADD, 0, false},
 	}
 	for _, c := range cases {
-		if got := branchTaken(c.op, c.v); got != c.taken {
-			t.Errorf("branchTaken(%v, %d) = %v", c.op, c.v, got)
+		if got := isa.CondHolds(c.op, c.v); got != c.taken {
+			t.Errorf("CondHolds(%v, %d) = %v", c.op, c.v, got)
 		}
 	}
 }

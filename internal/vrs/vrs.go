@@ -176,15 +176,21 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 	// identification with the minimum-cost preliminary filter. The run is
 	// captured as a packed trace so step 2's value profiling can replay
 	// it instead of emulating the train input a second time.
+	// A rider tallies the block profile, InstCount(D), from the Idx
+	// column; it sees every record even if the capture is dropped.
+	counts := make([]int64, len(trainProg.Ins))
+	rec := emu.NewTraceRecorder(trainProg)
+	rec.SetRider(emu.RecFunc(func(b emu.RecBatch) {
+		for _, idx := range b.Idx {
+			counts[idx]++
+		}
+	}))
 	trainMachine := emu.Acquire(trainProg)
 	defer trainMachine.Release()
-	trainMachine.EnableCounts()
-	rec := emu.NewTraceRecorder(trainProg)
 	trainMachine.Sink = rec
 	if err := trainMachine.Run(); err != nil {
 		return nil, fmt.Errorf("vrs: train profiling run: %w", err)
 	}
-	counts := trainMachine.InsCount
 	trainTrace, traceErr := rec.Trace()
 
 	pf := &Profile{refProg: refProg, base: base, counts: counts, opts: opts}
@@ -206,7 +212,7 @@ func NewProfile(trainProg, refProg *prog.Program, opts Options) (*Profile, error
 		trainTrace.Records(pf.profiler)
 	} else {
 		trainMachine.Reset()
-		trainMachine.Sink = emu.NewPacker(trainProg, pf.profiler)
+		trainMachine.Sink = pf.profiler
 		if err := trainMachine.Run(); err != nil {
 			return nil, fmt.Errorf("vrs: value profiling run: %w", err)
 		}

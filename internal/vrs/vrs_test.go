@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opgate/internal/emu"
+	"opgate/internal/isa"
 	"opgate/internal/prog"
 	"opgate/internal/vrp"
 	"opgate/internal/workload"
@@ -28,6 +29,53 @@ func specializeWorkload(t *testing.T, name string, threshold float64) *Result {
 		t.Fatalf("specialize %s: %v", name, err)
 	}
 	return res
+}
+
+// TestProfileCountsMatchTrainTrace: the profile's per-static execution
+// counts (InstCount(D), which feed the candidate filter and Figs. 4-7)
+// equal an independent tally of the Idx column of the train input's
+// captured trace, for every kernel.
+func TestProfileCountsMatchTrainTrace(t *testing.T) {
+	for _, w := range workload.All() {
+		trainP, err := w.Build(workload.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refP, err := w.Build(workload.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := NewProfile(trainP, refP, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+
+		rec := emu.NewTraceRecorder(trainP)
+		m := emu.New(trainP)
+		m.Sink = rec
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := rec.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int64, len(trainP.Ins))
+		tr.Records(emu.RecFunc(func(b emu.RecBatch) {
+			for _, idx := range b.Idx {
+				want[idx]++
+			}
+		}))
+		if len(pf.counts) != len(want) {
+			t.Fatalf("%s: %d counts for %d instructions", w.Name, len(pf.counts), len(want))
+		}
+		for i := range want {
+			if pf.counts[i] != want[i] {
+				t.Fatalf("%s: instruction %d counted %d times, the train trace retired it %d times",
+					w.Name, i, pf.counts[i], want[i])
+			}
+		}
+	}
 }
 
 // TestSpecializeEquivalence is the load-bearing correctness test: the
@@ -131,9 +179,11 @@ func TestVRSReducesWork(t *testing.T) {
 func addDynamicHistogram(t *testing.T, h *vrp.WidthHistogram, p *prog.Program) {
 	t.Helper()
 	m := emu.New(p)
-	m.Sink = emu.FuncSink(func(ev emu.Event) {
-		if vrp.CountsWidth(ev.Ins.Op) {
-			h.Add(ev.Ins.Width, 1)
+	m.Sink = emu.RecFunc(func(b emu.RecBatch) {
+		for i, op := range b.Op {
+			if vrp.CountsWidth(isa.Op(op)) {
+				h.Add(isa.Width(b.WBytes[i]), 1)
+			}
 		}
 	})
 	if err := m.Run(); err != nil {
