@@ -17,6 +17,7 @@ import (
 	"opgate/internal/harness"
 	"opgate/internal/isa"
 	"opgate/internal/power"
+	"opgate/internal/prog"
 	"opgate/internal/uarch"
 	"opgate/internal/vrp"
 	"opgate/internal/vrs"
@@ -211,15 +212,62 @@ func BenchmarkAblationAnalysis(b *testing.B) {
 
 // --- Substrate micro-benchmarks -----------------------------------------
 
-func BenchmarkVRPAnalyze(b *testing.B) {
-	w, _ := workload.ByName("gcc")
-	p, _ := w.Build(workload.Ref)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful}); err != nil {
+// refKernels builds every kernel's train and ref binaries.
+func refKernels(b *testing.B) (trains, refs []*prog.Program) {
+	for _, w := range workload.All() {
+		trainP, err := w.Build(workload.Train)
+		if err != nil {
 			b.Fatal(err)
 		}
+		refP, err := w.Build(workload.Ref)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trains, refs = append(trains, trainP), append(refs, refP)
 	}
+	return trains, refs
+}
+
+// BenchmarkVRPAnalyze reports the Useful analysis of all eight ref
+// kernels (§2): one op analyses the whole set.
+func BenchmarkVRPAnalyze(b *testing.B) {
+	_, refs := refKernels(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range refs {
+			if _, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(refs)*b.N)/b.Elapsed().Seconds(), "analyses/s")
+}
+
+// BenchmarkVRSSelect reports the per-threshold back half of VRS (§3.4):
+// held profiles of the eight ref kernels, each selected at every point of
+// the nine-threshold sweep grid. One op is the 72-cell grid.
+func BenchmarkVRSSelect(b *testing.B) {
+	trains, refs := refKernels(b)
+	grid := []float64{110, 100, 90, 80, 70, 60, 50, 40, 30}
+	profiles := make([]*vrs.Profile, len(refs))
+	for k := range refs {
+		pf, err := vrs.NewProfile(trains[k], refs[k], vrs.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		profiles[k] = pf
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pf := range profiles {
+			for _, th := range grid {
+				if _, err := pf.Select(th); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(len(profiles)*len(grid)*b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
 func BenchmarkVRSSpecialize(b *testing.B) {

@@ -271,13 +271,17 @@ func TestFollowDisconnectReleasesHandler(t *testing.T) {
 // client: submit+wait+decode via Run, live progress via Follow, and
 // cancellation via Cancel.
 func TestClientEndToEnd(t *testing.T) {
-	block := make(chan struct{})
+	// fig4 jobs stall until cleanup; a fig2 job holds at its start until
+	// Follow has delivered a frame, so a fast job cannot finish before
+	// Follow attaches and the stream always shows its lifecycle.
+	block, followed := make(chan struct{}), make(chan struct{})
 	cfg := serverConfig{
 		Quick: true, Workers: 2, Queue: 8,
 		hookJobStart: func(ctx context.Context, j *job) {
-			if j.experiment == "fig4" {
+			gate := map[string]chan struct{}{"fig4": block, "fig2": followed}[j.experiment]
+			if gate != nil {
 				select {
-				case <-block:
+				case <-gate:
 				case <-ctx.Done():
 				}
 			}
@@ -312,6 +316,9 @@ func TestClientEndToEnd(t *testing.T) {
 	var statuses []string
 	last, err := c.Follow(ctx, j.ID, func(f client.Job) error {
 		statuses = append(statuses, f.Status)
+		if len(statuses) == 1 {
+			close(followed)
+		}
 		return nil
 	})
 	if err != nil {

@@ -52,10 +52,7 @@ func CheckEquivalence(original, transformed *prog.Program) error {
 }
 
 func firstDiff(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
 			return i

@@ -80,7 +80,7 @@ func And(a, b Interval) Interval {
 	switch {
 	case aNonNeg && bNonNeg:
 		// Result within [0, min(aHi, bHi)].
-		return Interval{0, min64(a.Hi, b.Hi), true}
+		return Interval{0, min(a.Hi, b.Hi), true}
 	case aNonNeg:
 		// b may be negative (e.g. sign-extended mask): result keeps a's bound.
 		return Interval{0, a.Hi, true}
@@ -103,8 +103,8 @@ func Or(a, b Interval) Interval {
 	if a.Lo >= 0 && b.Lo >= 0 {
 		// OR cannot exceed the next power-of-two bound of max(aHi,bHi)
 		// and cannot be below max(aLo, bLo).
-		m := max64(a.Hi, b.Hi)
-		return Interval{max64(a.Lo, b.Lo), ceilPow2Mask(m), true}
+		m := max(a.Hi, b.Hi)
+		return Interval{max(a.Lo, b.Lo), ceilPow2Mask(m), true}
 	}
 	if a.Hi < 0 || b.Hi < 0 {
 		// Any negative operand forces a negative result (sign bit set).
@@ -124,7 +124,7 @@ func Xor(a, b Interval) Interval {
 		}
 	}
 	if a.Lo >= 0 && b.Lo >= 0 {
-		m := max64(a.Hi, b.Hi)
+		m := max(a.Hi, b.Hi)
 		return Interval{0, ceilPow2Mask(m), true}
 	}
 	return Top()
@@ -216,8 +216,8 @@ func Sar(a, s Interval) Interval {
 	}
 	// Arithmetic shift is monotone in the value for fixed amounts; take
 	// corner extremes over both bounds of the amount.
-	lo := min64(a.Lo>>uint(sLo), a.Lo>>uint(sHi))
-	hi := max64(a.Hi>>uint(sLo), a.Hi>>uint(sHi))
+	lo := min(a.Lo>>uint(sLo), a.Lo>>uint(sHi))
+	hi := max(a.Hi>>uint(sLo), a.Hi>>uint(sHi))
 	return Interval{lo, hi, true}
 }
 

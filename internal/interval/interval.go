@@ -101,7 +101,7 @@ func (iv Interval) Join(other Interval) Interval {
 	if !other.ok {
 		return iv
 	}
-	return Interval{min64(iv.Lo, other.Lo), max64(iv.Hi, other.Hi), true}
+	return Interval{min(iv.Lo, other.Lo), max(iv.Hi, other.Hi), true}
 }
 
 // Meet returns the intersection of the operands (used when refining a range
@@ -110,7 +110,7 @@ func (iv Interval) Meet(other Interval) Interval {
 	if !iv.ok || !other.ok {
 		return Empty()
 	}
-	lo, hi := max64(iv.Lo, other.Lo), min64(iv.Hi, other.Hi)
+	lo, hi := max(iv.Lo, other.Lo), min(iv.Hi, other.Hi)
 	if lo > hi {
 		return Empty()
 	}
@@ -142,20 +142,6 @@ func (iv Interval) Equal(other Interval) bool {
 		return false
 	}
 	return !iv.ok || (iv.Lo == other.Lo && iv.Hi == other.Hi)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SignificantBytes returns the number of bytes k (1..8) such that

@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"slices"
+
 	"opgate/internal/isa"
 )
 
@@ -9,16 +11,57 @@ import (
 // index, register) pairs; JSR kills the caller-saved state conservatively
 // (return and argument registers may be rewritten by the callee).
 
-// DefUse holds reaching-definition chains for one function.
+// DefUse holds reaching-definition chains for one function, densely
+// indexed by instruction offset within the function.
 type DefUse struct {
 	Fn *Func
-	// UD maps an instruction's operand use to its reaching definitions:
-	// UD[insIdx][reg] = sorted list of defining instruction indices, where
-	// -1 denotes "live-in to the function" (argument or unknown).
-	UD map[int]map[isa.Reg][]int
-	// DU maps a defining instruction to the instructions using its value:
-	// DU[defIdx] = sorted list of using instruction indices.
-	DU map[int][]int
+	// The operand uses of instruction Fn.Start+k are entries
+	// useOff[k]..useOff[k+1]-1 of useReg (the register read) and
+	// useDefs (its reaching definitions: a sorted list of defining
+	// instruction indices, where -1 denotes "live-in to the function").
+	useOff  []int
+	useReg  []isa.Reg
+	useDefs [][]int
+	// uses[k] lists, in ascending order, the instructions reading the
+	// value defined at Fn.Start+k.
+	uses [][]int
+}
+
+// defState maps every register to its reaching definitions at a program
+// point: a sorted set of instruction indices (-1 for live-in). Sets are
+// never mutated once built, so states share them freely; copying a
+// defState is assignment.
+type defState [isa.NumRegs][]int
+
+// unionDefs returns the sorted union of two reaching-definition sets,
+// reusing an operand when it already is the union.
+func unionDefs(a, b []int) []int {
+	switch {
+	case len(b) == 0:
+		return a
+	case len(a) == 0:
+		return b
+	case slices.Equal(a, b):
+		return a
+	}
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // callClobbered lists registers conservatively rewritten by a call.
@@ -87,175 +130,143 @@ func PseudoUses(op isa.Op) []isa.Reg {
 
 // BuildDefUse computes use-def and def-use chains for f.
 func BuildDefUse(p *Program, f *Func) *DefUse {
-	du := &DefUse{
-		Fn: f,
-		UD: make(map[int]map[isa.Reg][]int),
-		DU: make(map[int][]int),
+	n := f.End - f.Start
+	// self[k] is the one-element set {f.Start+k}: a definition kills
+	// every other reaching def of its register. The full slice
+	// expression caps each set so no append can reach its neighbour.
+	self := make([]int, n)
+	for k := range self {
+		self[k] = f.Start + k
+	}
+	// step applies instruction i's definitions to s.
+	step := func(s *defState, i int) {
+		def := self[i-f.Start : i-f.Start+1 : i-f.Start+1]
+		ins := &p.Ins[i]
+		if ins.Op == isa.OpJSR {
+			for _, r := range callClobbered {
+				s[r] = def
+			}
+			return
+		}
+		if d, ok := ins.Dest(); ok {
+			s[d] = def
+		}
 	}
 
-	// in[b][reg] = set of reaching def indices (-1 for live-in).
-	type defset map[int]bool
-	in := make([]map[isa.Reg]defset, len(f.Blocks))
-	out := make([]map[isa.Reg]defset, len(f.Blocks))
-	for i := range in {
-		in[i] = make(map[isa.Reg]defset)
-		out[i] = make(map[isa.Reg]defset)
-	}
 	// Entry block: every register live-in.
-	entryIn := in[0]
-	for r := 0; r < isa.NumRegs; r++ {
-		entryIn[isa.Reg(r)] = defset{-1: true}
+	liveIn := []int{-1}
+	var entry defState
+	for r := range entry {
+		entry[r] = liveIn
 	}
 
-	transfer := func(b *Block, state map[isa.Reg]defset) map[isa.Reg]defset {
-		cur := make(map[isa.Reg]defset, len(state))
-		for r, s := range state {
-			cur[r] = s
-		}
-		for i := b.Start; i < b.End; i++ {
-			ins := &p.Ins[i]
-			if ins.Op == isa.OpJSR {
-				for _, r := range callClobbered {
-					cur[r] = defset{i: true}
-				}
-				continue
-			}
-			if d, ok := ins.Dest(); ok {
-				cur[d] = defset{i: true}
-			}
-		}
-		return cur
-	}
-
-	eqState := func(a, b map[isa.Reg]defset) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for r, sa := range a {
-			sb, ok := b[r]
-			if !ok || len(sa) != len(sb) {
-				return false
-			}
-			for d := range sa {
-				if !sb[d] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
+	// Reaching definitions per block, to the least fixpoint. done[b]
+	// marks a block whose out state is computed from its current in.
+	in := make([]defState, len(f.Blocks))
+	out := make([]defState, len(f.Blocks))
+	done := make([]bool, len(f.Blocks))
 	rpo := f.RPOBlocks()
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
 			// Meet: union of predecessor outs (entry keeps live-ins).
-			merged := make(map[isa.Reg]defset)
+			var merged defState
 			if b == f.Blocks[0] {
-				for r, s := range entryIn {
-					cp := make(defset, len(s))
-					for d := range s {
-						cp[d] = true
-					}
-					merged[r] = cp
-				}
+				merged = entry
 			}
 			for _, pred := range b.Preds {
-				for r, s := range out[pred.ID] {
-					dst := merged[r]
-					if dst == nil {
-						dst = make(defset, len(s))
-						merged[r] = dst
-					}
-					for d := range s {
-						dst[d] = true
-					}
+				po := &out[pred.ID]
+				for r := range merged {
+					merged[r] = unionDefs(merged[r], po[r])
 				}
 			}
-			if !eqState(merged, in[b.ID]) {
-				in[b.ID] = merged
+			if done[b.ID] && statesEqual(&merged, &in[b.ID]) {
+				continue
+			}
+			in[b.ID] = merged
+			for i := b.Start; i < b.End; i++ {
+				step(&merged, i)
+			}
+			if !done[b.ID] || !statesEqual(&merged, &out[b.ID]) {
+				out[b.ID] = merged
 				changed = true
 			}
-			newOut := transfer(b, in[b.ID])
-			if !eqState(newOut, out[b.ID]) {
-				out[b.ID] = newOut
-				changed = true
-			}
+			done[b.ID] = true
 		}
 	}
 
-	// Second pass: walk each block recording UD/DU.
+	// Second pass: walk the blocks in layout order recording each use's
+	// reaching definitions and, per definition, its uses. Uses are
+	// visited in ascending instruction order, so every uses list comes
+	// out sorted.
+	du := &DefUse{
+		Fn:     f,
+		useOff: make([]int, 1, n+1),
+		uses:   make([][]int, n),
+	}
 	for _, b := range f.Blocks {
-		cur := make(map[isa.Reg]defset, len(in[b.ID]))
-		for r, s := range in[b.ID] {
-			cur[r] = s
-		}
+		cur := in[b.ID]
 		for i := b.Start; i < b.End; i++ {
-			ins := &p.Ins[i]
+			first := len(du.useReg)
 			record := func(r isa.Reg) {
-				if r == isa.ZeroReg {
+				if r == isa.ZeroReg || slices.Contains(du.useReg[first:], r) {
 					return
 				}
-				if du.UD[i] != nil {
-					if _, done := du.UD[i][r]; done {
-						return
-					}
-				}
 				defs := cur[r]
-				if du.UD[i] == nil {
-					du.UD[i] = make(map[isa.Reg][]int)
-				}
-				var list []int
-				for d := range defs {
-					list = append(list, d)
+				du.useReg = append(du.useReg, r)
+				du.useDefs = append(du.useDefs, defs)
+				for _, d := range defs {
 					if d >= 0 {
-						du.DU[d] = append(du.DU[d], i)
+						du.uses[d-f.Start] = append(du.uses[d-f.Start], i)
 					}
 				}
-				sortInts(list)
-				du.UD[i][r] = list
 			}
-			uses, n := ins.Uses()
-			for k := 0; k < n; k++ {
+			ins := &p.Ins[i]
+			uses, nu := ins.Uses()
+			for k := 0; k < nu; k++ {
 				record(uses[k])
 			}
 			for _, r := range PseudoUses(ins.Op) {
 				record(r)
 			}
-			if ins.Op == isa.OpJSR {
-				for _, r := range callClobbered {
-					cur[r] = defset{i: true}
-				}
-				continue
-			}
-			if d, ok := ins.Dest(); ok {
-				cur[d] = defset{i: true}
-			}
+			du.useOff = append(du.useOff, len(du.useReg))
+			step(&cur, i)
 		}
-	}
-	for d := range du.DU {
-		sortInts(du.DU[d])
 	}
 	return du
 }
 
+// statesEqual reports whether two def states hold the same sets.
+func statesEqual(a, b *defState) bool {
+	for r := range a {
+		if !slices.Equal(a[r], b[r]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Uses returns the instructions consuming the value defined at defIdx
 // (the paper's Uses(I, r)).
-func (du *DefUse) Uses(defIdx int) []int { return du.DU[defIdx] }
+func (du *DefUse) Uses(defIdx int) []int {
+	k := defIdx - du.Fn.Start
+	if k < 0 || k >= len(du.uses) {
+		return nil
+	}
+	return du.uses[k]
+}
 
 // ReachingDefs returns the definitions reaching the use of reg at insIdx.
 func (du *DefUse) ReachingDefs(insIdx int, reg isa.Reg) []int {
-	m := du.UD[insIdx]
-	if m == nil {
+	k := insIdx - du.Fn.Start
+	if k < 0 || k >= len(du.useOff)-1 {
 		return nil
 	}
-	return m[reg]
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	for j := du.useOff[k]; j < du.useOff[k+1]; j++ {
+		if du.useReg[j] == reg {
+			defs := du.useDefs[j]
+			return defs[:len(defs):len(defs)]
 		}
 	}
+	return nil
 }

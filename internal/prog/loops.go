@@ -346,8 +346,8 @@ func computeTripCount(it *AffineIterator) {
 	if !cont(first) {
 		it.TripCount = 1
 		it.Bounded = true
-		it.MinVal = min64(it.Init, first)
-		it.MaxVal = max64(it.Init, first)
+		it.MinVal = min(it.Init, first)
+		it.MaxVal = max(it.Init, first)
 		return
 	}
 	// v_n = init + n*step; find largest n with cont(v_n). For the signed
@@ -364,20 +364,6 @@ func computeTripCount(it *AffineIterator) {
 	}
 	last := it.Init + it.TripCount*it.Step
 	it.Bounded = true
-	it.MinVal = min64(it.Init, last)
-	it.MaxVal = max64(it.Init, last)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	it.MinVal = min(it.Init, last)
+	it.MaxVal = max(it.Init, last)
 }

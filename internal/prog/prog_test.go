@@ -1,6 +1,7 @@
 package prog_test
 
 import (
+	"slices"
 	"testing"
 
 	"opgate/internal/asm"
@@ -318,6 +319,57 @@ check:
 	for _, l := range f.Loops() {
 		if l.Iter != nil && l.Iter.Bounded && l.Iter.Reg == 1 {
 			t.Errorf("mixed-step updates produced a bounded iterator: %v", l.Iter)
+		}
+	}
+}
+
+// TestDefUseLoopJoins: reaching definitions merge across a loop back edge
+// and a conditional definition, keeping live-in (-1) alongside real defs;
+// queries outside the function or for an unread register find nothing.
+func TestDefUseLoopJoins(t *testing.T) {
+	p := mustAssemble(t, `
+.func main
+	lda r1, 3(rz)
+loop:
+	out.q r2
+	beq r1, skip
+	lda r2, 1(rz)
+skip:
+	sub r1, r1, #1
+	bne r1, loop
+	halt
+`)
+	f := p.Funcs[0]
+	du := prog.BuildDefUse(p, f)
+	for _, c := range []struct {
+		idx  int
+		reg  isa.Reg
+		want []int
+	}{
+		{1, 2, []int{-1, 3}}, // live-in on entry, the conditional def around the back edge
+		{2, 1, []int{0, 4}},
+		{4, 1, []int{0, 4}},
+		{1, 7, nil}, // r7 is not read at 1
+		{len(p.Ins), 2, nil},
+		{-1, 2, nil},
+	} {
+		if got := du.ReachingDefs(c.idx, c.reg); !slices.Equal(got, c.want) {
+			t.Errorf("ReachingDefs(%d, r%d) = %v, want %v", c.idx, c.reg, got, c.want)
+		}
+	}
+	if got := du.Uses(3); !slices.Equal(got, []int{1}) {
+		t.Errorf("Uses(3) = %v, want [1]", got)
+	}
+	if got := du.Uses(4); !slices.Equal(got, []int{2, 4, 5}) {
+		t.Errorf("Uses(4) = %v, want [2 4 5]", got)
+	}
+	if du.Uses(-1) != nil || du.Uses(len(p.Ins)) != nil {
+		t.Error("Uses outside the function must be empty")
+	}
+	clobbered := prog.CallClobbered()
+	for _, r := range []isa.Reg{prog.RegRet, prog.RegLink, prog.RegArg0, 1, 8} {
+		if !slices.Contains(clobbered, r) {
+			t.Errorf("CallClobbered() lacks r%d", r)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func (r *Result) demandFunc(fi int) {
 			}
 			d := 1
 			for _, u := range du.Uses(i) {
-				d = maxInt(d, r.useDemand(u, dreg))
+				d = max(d, r.useDemand(u, dreg))
 				if d >= 8 {
 					break
 				}
@@ -84,15 +84,15 @@ func (r *Result) useDemand(useIdx int, reg isa.Reg) int {
 
 	d := 0
 	if u.Ra == reg {
-		d = maxInt(d, r.operandDemand(u, true, k))
+		d = max(d, r.operandDemand(u, true, k))
 	}
 	if !u.HasImm && u.Rb == reg {
-		d = maxInt(d, r.operandDemand(u, false, k))
+		d = max(d, r.operandDemand(u, false, k))
 	}
 	if isa.ClassOf(u.Op) == isa.ClassCmov && u.Rd == reg {
 		// The old destination value may be preserved wholesale into the
 		// result: it needs as many bytes as the result does.
-		d = maxInt(d, k)
+		d = max(d, k)
 	}
 	return d
 }
@@ -122,14 +122,14 @@ func (r *Result) operandDemand(u *isa.Instruction, first bool, k int) int {
 		}
 		if first && u.HasImm {
 			// Bytes of the input above the mask's top byte are zeroed.
-			return minInt(k, topUsedByteAnd(u.Imm))
+			return min(k, topUsedByteAnd(u.Imm))
 		}
 		return k
 	case isa.OpOR, isa.OpBIC:
 		if first && u.HasImm {
 			// Bytes where the mask is 0xFF are forced (OR) or cleared
 			// (BIC); the input only matters below the top non-0xFF byte.
-			return minInt(k, topUsedByteOrBic(u.Imm))
+			return min(k, topUsedByteOrBic(u.Imm))
 		}
 		return k
 
@@ -142,20 +142,20 @@ func (r *Result) operandDemand(u *isa.Instruction, first bool, k int) int {
 		if first {
 			if u.HasImm {
 				s := int(u.Imm & 63)
-				return minInt(8, (8*k+s+7)/8)
+				return min(8, (8*k+s+7)/8)
 			}
 			return 8 // variable amount: any byte may flow down
 		}
 		return 1
 
 	case isa.OpMSKL:
-		return minInt(k, u.Width.Bytes())
+		return min(k, u.Width.Bytes())
 	case isa.OpSEXT:
-		return minInt(maxInt(k, 1), u.Width.Bytes())
+		return min(max(k, 1), u.Width.Bytes())
 	case isa.OpEXTB:
 		if first {
 			if u.HasImm {
-				return minInt(8, int(u.Imm&7)+1)
+				return min(8, int(u.Imm&7)+1)
 			}
 			return 8
 		}
@@ -208,18 +208,4 @@ func topUsedByteOrBic(mask int64) int {
 		}
 	}
 	return 1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

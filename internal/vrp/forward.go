@@ -2,93 +2,65 @@ package vrp
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"opgate/internal/interval"
 	"opgate/internal/isa"
 	"opgate/internal/prog"
 )
 
-// state maps registers to their value ranges at a program point. Missing
-// entries mean Top (unknown). The zero register and the pinned global
-// pointer are resolved by get, never stored.
-type state map[isa.Reg]interval.Interval
+// state holds every register's value range at a program point, with Top
+// (unknown) as the stored default. It is a value: copying is assignment
+// and equality is ==, since Interval is canonical (Empty is always the
+// zero value). The zero register and the pinned global pointer are
+// resolved by get, never stored.
+type state [isa.NumRegs]interval.Interval
 
-func (r *Result) get(s state, reg isa.Reg) interval.Interval {
+// topState returns the state knowing nothing about any register.
+func topState() state {
+	var s state
+	for r := range s {
+		s[r] = interval.Top()
+	}
+	return s
+}
+
+func (r *Result) get(s *state, reg isa.Reg) interval.Interval {
 	switch reg {
 	case isa.ZeroReg:
 		return interval.Const(0)
 	case prog.RegGP:
 		return interval.Const(r.Prog.DataBase)
 	}
-	if iv, ok := s[reg]; ok {
-		return iv
-	}
-	return interval.Top()
+	return s[reg]
 }
 
-func (s state) set(reg isa.Reg, iv interval.Interval) {
+func (s *state) set(reg isa.Reg, iv interval.Interval) {
 	if reg == isa.ZeroReg || reg == prog.RegGP {
-		return
-	}
-	if iv.IsTop() {
-		delete(s, reg)
 		return
 	}
 	s[reg] = iv
 }
 
-func (s state) clone() state {
-	c := make(state, len(s))
-	for r, iv := range s {
-		c[r] = iv
+// join unions o's per-register ranges into s.
+func (s *state) join(o *state) {
+	for r := range s {
+		s[r] = s[r].Join(o[r])
 	}
-	return c
 }
 
-// joinStates unions per-register ranges; registers absent from either side
-// are Top and disappear.
-func joinStates(a, b state) state {
-	out := make(state)
-	for r, iv := range a {
-		if other, ok := b[r]; ok {
-			j := iv.Join(other)
-			if !j.IsTop() {
-				out[r] = j
-			}
-		}
-	}
-	return out
-}
-
-func statesEqual(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for r, iv := range a {
-		other, ok := b[r]
-		if !ok || !iv.Equal(other) {
-			return false
-		}
-	}
-	return true
-}
-
-// widenState accelerates convergence with threshold widening: a bound
-// that grew since prev jumps to the nearest "landmark" constant — the
+// widen accelerates convergence with threshold widening: a bound that
+// grew since prev jumps to the nearest "landmark" constant — the
 // comparison immediates and loop bounds appearing in the function — and
 // only to the extreme when no landmark remains. Plain widening-to-Top
 // loses loop-header ranges irrecoverably (descending iteration cannot
 // narrow a register that merely passes through an inner loop); landmarks
-// let iterator-driven ranges settle at their actual loop bounds.
-func widenState(prev, next state, thresholds []int64) state {
-	out := make(state)
-	for r, iv := range next {
-		p, ok := prev[r]
-		if !ok {
-			// Was Top before; widening never regains precision.
-			continue
-		}
+// let iterator-driven ranges settle at their actual loop bounds. A
+// register that is Top on either side stays Top: its unbounded ends widen
+// to the extremes.
+func (s *state) widen(prev *state, thresholds []int64) {
+	for r, iv := range s {
+		p := prev[r]
 		lo, hi := p.Lo, p.Hi
 		if iv.Lo < p.Lo {
 			lo = widenDown(iv.Lo, thresholds)
@@ -96,12 +68,8 @@ func widenState(prev, next state, thresholds []int64) state {
 		if iv.Hi > p.Hi {
 			hi = widenUp(iv.Hi, thresholds)
 		}
-		w := interval.New(lo, hi)
-		if !w.IsTop() {
-			out[r] = w
-		}
+		s[r] = interval.New(lo, hi)
 	}
-	return out
 }
 
 // widenUp returns the smallest threshold >= v, else MaxInt64.
@@ -128,14 +96,14 @@ func widenDown(v int64, thresholds []int64) int64 {
 // immediates of comparisons (and their neighbours, which branch
 // refinement produces) plus loop-iterator bounds.
 func gatherThresholds(p *prog.Program, f *prog.Func) []int64 {
-	set := map[int64]bool{-1: true, 0: true, 1: true}
+	out := []int64{-1, 0, 1}
 	add := func(v int64) {
-		set[v] = true
+		out = append(out, v)
 		if v > math.MinInt64 {
-			set[v-1] = true
+			out = append(out, v-1)
 		}
 		if v < math.MaxInt64 {
-			set[v+1] = true
+			out = append(out, v+1)
 		}
 	}
 	for i := f.Start; i < f.End; i++ {
@@ -150,12 +118,8 @@ func gatherThresholds(p *prog.Program, f *prog.Func) []int64 {
 			add(l.Iter.MaxVal)
 		}
 	}
-	out := make([]int64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // propagate runs the interprocedural fixpoint: intraprocedural forward
@@ -221,7 +185,7 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 	p := r.Prog
 	sum := r.summaries[f.Index]
 
-	entryState := make(state)
+	entryState := topState()
 	for i := 0; i < prog.NumArgRegs; i++ {
 		if !sum.args[i].IsEmpty() {
 			entryState.set(prog.RegArg0+isa.Reg(i), sum.args[i])
@@ -242,11 +206,12 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 
 	thresholds := gatherThresholds(p, f)
 	blocks := f.RPOBlocks()
-	// edgeOut[from][to] = state propagated along the CFG edge; nil means
-	// the edge has not fired (or is refined infeasible).
-	edgeOut := make(map[*prog.Block]map[*prog.Block]state)
-	inState := make(map[*prog.Block]state)
-	visits := make(map[*prog.Block]int)
+	// Per-block facts, indexed by Block.ID. edgeOut[b][k] is the state
+	// propagated along the edge to b.Succs[k]; a nil edgeOut[b] means b
+	// has not been analysed yet, so none of its edges has fired.
+	edgeOut := make([][]state, len(f.Blocks))
+	inState := make([]state, len(f.Blocks))
+	visits := make([]int, len(f.Blocks))
 	summaryChanged := false
 
 	runPass := func(widen, force, recordNow bool) bool {
@@ -256,58 +221,60 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 			var in state
 			reached := false
 			if b == f.Blocks[0] {
-				in = entryState.clone()
+				in = entryState
 				reached = true
 			}
 			for _, pred := range b.Preds {
-				es := edgeOut[pred][b]
-				if es == nil {
+				outs := edgeOut[pred.ID]
+				if outs == nil {
 					continue
 				}
+				es := &outs[slices.Index(pred.Succs, b)]
 				if !reached {
-					in = es.clone()
+					in = *es
 					reached = true
 				} else {
-					in = joinStates(in, es)
+					in.join(es)
 				}
 			}
 			if !reached {
 				continue
 			}
-			visits[b]++
-			if prev, ok := inState[b]; ok {
-				if widen && visits[b] > 3 {
-					in = widenState(prev, in, thresholds)
+			visits[b.ID]++
+			if visits[b.ID] > 1 {
+				prev := &inState[b.ID]
+				if widen && visits[b.ID] > 3 {
+					in.widen(prev, thresholds)
 				}
-				if !force && statesEqual(prev, in) && edgeOut[b] != nil {
+				if !force && in == *prev {
 					continue
 				}
 			}
-			inState[b] = in.clone()
+			inState[b.ID] = in
 			changed = true
 
 			// Transfer through the block.
-			cur := in
 			for i := b.Start; i < b.End; i++ {
-				if r.transfer(f, i, cur, clamps, recordNow) {
+				if r.transfer(f, i, &in, clamps, recordNow) {
 					summaryChanged = true
 				}
 			}
 
 			// Emit successor edge states with branch refinement.
-			outs := make(map[*prog.Block]state, len(b.Succs))
+			if edgeOut[b.ID] == nil {
+				edgeOut[b.ID] = make([]state, len(b.Succs))
+			}
 			term := b.Terminator(p)
-			for _, succ := range b.Succs {
-				es := cur.clone()
+			for k, succ := range b.Succs {
+				es := &edgeOut[b.ID][k]
+				*es = in
 				if term != nil && isa.IsCondBranch(term.Op) && !r.Opts.DisableBranchRefinement {
 					taken := succ.Start == term.Target
 					// A conditional branch whose target equals the
 					// fall-through refines both ways; treat as taken.
-					es = r.refineEdge(f, b, term, taken, es)
+					r.refineEdge(f, b, term, taken, es)
 				}
-				outs[succ] = es
 			}
-			edgeOut[b] = outs
 		}
 		return changed
 	}
@@ -330,7 +297,7 @@ func (r *Result) analyzeFunc(f *prog.Func, record bool) bool {
 
 // transfer applies one instruction to the state; record captures operand
 // and result ranges. It reports whether a function summary changed.
-func (r *Result) transfer(f *prog.Func, idx int, s state, clamps map[int]interval.Interval, record bool) bool {
+func (r *Result) transfer(f *prog.Func, idx int, s *state, clamps map[int]interval.Interval, record bool) bool {
 	p := r.Prog
 	in := &p.Ins[idx]
 	ra := r.get(s, in.Ra)
@@ -516,7 +483,7 @@ func cmpRange(op isa.Op, a, b interval.Interval) interval.Interval {
 
 // refineEdge applies §2.2.4: the comparison feeding a conditional branch
 // constrains the tested register along each outgoing edge.
-func (r *Result) refineEdge(f *prog.Func, b *prog.Block, term *isa.Instruction, taken bool, s state) state {
+func (r *Result) refineEdge(f *prog.Func, b *prog.Block, term *isa.Instruction, taken bool, s *state) {
 	p := r.Prog
 	cond := term.Ra
 
@@ -559,7 +526,7 @@ func (r *Result) refineEdge(f *prog.Func, b *prog.Block, term *isa.Instruction, 
 				}
 			}
 		}
-		return s
+		return
 	}
 
 	// Direct test of a register against zero.
@@ -568,7 +535,6 @@ func (r *Result) refineEdge(f *prog.Func, b *prog.Block, term *isa.Instruction, 
 	if !refined.IsEmpty() {
 		s.set(cond, refined)
 	}
-	return s
 }
 
 // branchImpliesCmp maps (branch opcode, edge) to the truth of the compare
@@ -613,7 +579,7 @@ func refineByCmp(op isa.Op, cmpTrue bool, cur interval.Interval, c int64) interv
 		// Sound only when the current range is non-negative.
 		if cur.Lo >= 0 && c >= 0 {
 			if cmpTrue {
-				return cur.Meet(interval.New(0, max64(c-1, 0)))
+				return cur.Meet(interval.New(0, max(c-1, 0)))
 			}
 			return cur.Meet(above(c))
 		}
@@ -681,11 +647,4 @@ func trimPoint(cur interval.Interval, v int64) interval.Interval {
 		return interval.New(cur.Lo, cur.Hi-1)
 	}
 	return cur
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

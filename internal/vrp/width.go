@@ -39,9 +39,9 @@ func (r *Result) assignWidths() {
 			if res.IsEmpty() {
 				continue // unreachable: keep the original width
 			}
-			need := minInt(res.Bytes(), r.Demand[i])
+			need := min(res.Bytes(), r.Demand[i])
 			if in.Op == isa.OpSRL || in.Op == isa.OpSRA {
-				need = maxInt(need, operandBytes(r.RaRange[i]))
+				need = max(need, operandBytes(r.RaRange[i]))
 			}
 			w := set.Narrowest(class, isa.WidthForBytes(need))
 			if w < in.Width {
@@ -51,7 +51,7 @@ func (r *Result) assignWidths() {
 			if r.RaRange[i].IsEmpty() {
 				continue
 			}
-			need := maxInt(operandBytes(r.RaRange[i]), operandBytes(r.RbRange[i]))
+			need := max(operandBytes(r.RaRange[i]), operandBytes(r.RbRange[i]))
 			w := set.Narrowest(class, isa.WidthForBytes(need))
 			if w < in.Width {
 				r.Width[i] = w

@@ -25,10 +25,10 @@ import (
 // single-value points; that is where the paper's own Fig. 5 found the
 // action (m88ksim and vortex "eliminate almost all the specialized
 // instructions").
-func guardCost(params power.Params, min, max int64) float64 {
+func guardCost(params power.Params, lo, hi int64) float64 {
 	cmpCost := power.OpEnergy(params, 8)
 	brCost := power.OpEnergy(params, 1)
-	if min == max {
+	if lo == hi {
 		return cmpCost + brCost
 	}
 	return 2*cmpCost + 2*brCost
@@ -130,7 +130,7 @@ func savingsEstimate(p *prog.Program, base *vrp.Result, defIdx, newBytes int, co
 		// With one input narrowed, the consumer's width drops to at
 		// most max(newBytes, other input's width) — approximated with
 		// the narrowed input dominating when it was the wide one.
-		proj := maxInt(newBytes, otherInputBytes(p, base, useIdx, defIdx))
+		proj := max(newBytes, otherInputBytes(p, base, useIdx, defIdx))
 		if proj >= oldBytes {
 			continue
 		}
@@ -247,50 +247,29 @@ func evaluate(p *prog.Program, base *vrp.Result, cands []candidate, prof *emu.Pr
 			points = append(points, pt)
 			continue
 		}
-		min, max, freq, ok := table.CoverageRange(opts.Coverage)
+		lo, hi, freq, ok := table.CoverageRange(opts.Coverage)
 		if !ok {
 			points = append(points, pt)
 			continue
 		}
-		newBytes := interval.New(minI64(min, max), maxI64(min, max)).Bytes()
+		newBytes := interval.New(min(lo, hi), max(lo, hi)).Bytes()
 		cur := effectiveBytes(base, c.InsIdx)
-		pt.Min, pt.Max, pt.Freq = min, max, freq
+		pt.Min, pt.Max, pt.Freq = lo, hi, freq
 		if newBytes >= cur {
 			points = append(points, pt) // profile isn't narrower than statics
 			continue
 		}
 		pt.Savings = savingsEstimate(p, base, c.InsIdx, newBytes, counts, 0)
-		if min == max {
+		if lo == hi {
 			// Single-value specialization also eliminates instructions
 			// outright via constant propagation (Fig. 5): every
 			// immediately-foldable consumer saves its whole execution.
 			pt.Savings += foldBonus(p, base, c.InsIdx, counts)
 		}
-		pt.Cost = float64(counts[c.InsIdx]) * guardCost(opts.Power, min, max)
+		pt.Cost = float64(counts[c.InsIdx]) * guardCost(opts.Power, lo, hi)
 		pt.Benefit = pt.Savings*freq - pt.Cost - opts.Threshold
 		points = append(points, pt)
 	}
 	sort.Slice(points, func(a, b int) bool { return points[a].Benefit > points[b].Benefit })
 	return points
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

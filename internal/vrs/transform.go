@@ -2,6 +2,7 @@ package vrs
 
 import (
 	"fmt"
+	"slices"
 
 	"opgate/internal/isa"
 	"opgate/internal/prog"
@@ -55,7 +56,7 @@ type chosenRegion struct {
 // dead-code elimination inside single-value clones, followed by a final
 // VRP pass that narrows the clones through the guards' branch refinement.
 func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64, opts Options) (*Result, error) {
-	ed := prog.NewEditor(p)
+	var ed *prog.Editor // built at the first pick
 	res := &Result{
 		Original: p,
 		Points:   points,
@@ -125,6 +126,9 @@ func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64
 			continue
 		}
 
+		if ed == nil {
+			ed = prog.NewEditor(p)
+		}
 		entry, mapping, err := ed.CloneRange(f.Index, start, end)
 		if err != nil {
 			return nil, fmt.Errorf("vrs: clone for point %d: %w", pt.InsIdx, err)
@@ -170,12 +174,9 @@ func transform(p *prog.Program, base *vrp.Result, points []Point, counts []int64
 	}
 
 	if len(picked) == 0 {
-		final, err := vrp.Analyze(p, opts.VRP)
-		if err != nil {
-			return nil, err
-		}
+		// Nothing transformed: the program's analysis is the baseline.
 		res.Transformed = p
-		res.FinalVRP = final
+		res.FinalVRP = base
 		return res, nil
 	}
 
@@ -266,7 +267,7 @@ func constPropClone(ed *prog.Editor, p *prog.Program, pt *Point, clones map[int]
 	for i := range clones {
 		idxs = append(idxs, i)
 	}
-	sortInts(idxs)
+	slices.Sort(idxs)
 
 	// Is the specialized register redefined anywhere in the region? If
 	// so its constant is only valid up to that point of the layout walk.
@@ -438,14 +439,6 @@ func indexNodes(ed *prog.Editor, q *prog.Program) map[*prog.Node]int {
 		panic("vrs: node walk out of sync with built program")
 	}
 	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func b2i(b bool) int64 {

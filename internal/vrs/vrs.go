@@ -30,7 +30,8 @@ import (
 type Options struct {
 	// Threshold is the fixed per-specialization energy overhead charged
 	// in the benefit test — the paper's "VRS 110nJ ... VRS 30nJ"
-	// configurations (Fig. 8): lower thresholds specialize more points.
+	// configurations (Fig. 8): lower thresholds specialize never fewer
+	// points (TestThresholdMonotonicity).
 	Threshold float64
 	// Coverage is the TNV range-coverage target (fraction of profiled
 	// events the chosen [min,max] must cover). Default 0.95.
@@ -112,7 +113,9 @@ type Result struct {
 	SpecIns  map[int]bool
 
 	// FinalVRP is the analysis of the transformed program (used by
-	// Apply and the experiments).
+	// Apply and the experiments). When no point is specialized it is the
+	// Profile's own baseline analysis, shared by every such Result: read
+	// it, never modify it.
 	FinalVRP *vrp.Result
 }
 
@@ -233,17 +236,6 @@ func (pf *Profile) Select(threshold float64) (*Result, error) {
 	opts.Threshold = threshold
 	if opts.Threshold == 0 {
 		opts.Threshold = 50
-	}
-	if len(pf.cands) == 0 {
-		// Deterministic no-op at every threshold: the transformed program
-		// is the reference binary under its baseline analysis.
-		return &Result{
-			Original:    pf.refProg,
-			Transformed: pf.refProg,
-			FinalVRP:    pf.base,
-			GuardIns:    map[int]bool{},
-			SpecIns:     map[int]bool{},
-		}, nil
 	}
 
 	// Step 3 (§3.4): evaluate profitability with the profiled ranges and

@@ -3,9 +3,11 @@ package vrs
 import (
 	"testing"
 
+	"opgate/internal/asm"
 	"opgate/internal/emu"
 	"opgate/internal/isa"
 	"opgate/internal/prog"
+	"opgate/internal/store"
 	"opgate/internal/vrp"
 	"opgate/internal/workload"
 )
@@ -189,4 +191,83 @@ func addDynamicHistogram(t *testing.T, h *vrp.WidthHistogram, p *prog.Program) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkNoPickCell holds a cell that specialized nothing to the no-pick
+// contract: it shares the profile's baseline analysis, returns the
+// reference binary itself, and applies to the same binary as a fresh
+// Useful analysis of that binary.
+func checkNoPickCell(t *testing.T, name string, pf *Profile, res *Result, want store.Hash) {
+	t.Helper()
+	if res.FinalVRP != pf.base {
+		t.Errorf("%s: no-pick FinalVRP is not the profile's baseline analysis", name)
+	}
+	if res.Transformed != pf.refProg {
+		t.Errorf("%s: no-pick Transformed is not the reference binary", name)
+	}
+	if got := store.ProgramIdentity(res.Apply()); got != want {
+		t.Errorf("%s: no-pick Apply identity %x, want %x", name, got, want)
+	}
+}
+
+// TestNoPickSelectReusesBase: every Select cell that specializes nothing —
+// across the sweep grid plus a threshold no point can beat, for every
+// kernel, and for a program with no candidates at all — is the reference
+// binary under the profile's own baseline analysis.
+func TestNoPickSelectReusesBase(t *testing.T) {
+	grid := []float64{110, 100, 90, 80, 70, 60, 50, 40, 30, 1e18}
+	for _, w := range workload.All() {
+		trainP, err := w.Build(workload.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refP, err := w.Build(workload.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := NewProfile(trainP, refP, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := vrp.Analyze(refP, vrp.Options{Mode: vrp.Useful})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := store.ProgramIdentity(fresh.Apply())
+		noPick := 0
+		for _, th := range grid {
+			res, err := pf.Select(th)
+			if err != nil {
+				t.Fatalf("%s at %v: %v", w.Name, th, err)
+			}
+			if res.NumSpecialized() == 0 {
+				noPick++
+				checkNoPickCell(t, w.Name, pf, res, want)
+			}
+		}
+		if noPick == 0 {
+			t.Errorf("%s: no cell specialized nothing, even at threshold %v", w.Name, grid[len(grid)-1])
+		}
+	}
+
+	p, err := asm.Assemble(".func main\nlda r1, 7(rz)\nout r1\nhalt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := NewProfile(p, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf.NumCandidates() != 0 || pf.profiler != nil {
+		t.Fatalf("tiny program: %d candidates, profiler %v; want none", pf.NumCandidates(), pf.profiler)
+	}
+	fresh, err := vrp.Analyze(p, vrp.Options{Mode: vrp.Useful})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pf.Select(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoPickCell(t, "tiny", pf, res, store.ProgramIdentity(fresh.Apply()))
 }

@@ -5,7 +5,9 @@
 # rider), trace replay throughput, replay-fed timing-model MIPS (one- and
 # two-mode banks over the ref kernel traces), the fused-vs-unfused cold
 # figure matrices, the single-pass threshold sweep (grid cells/s vs
-# independent per-threshold runs), and the two §4.3 ablation drivers.
+# independent per-threshold runs), the two §4.3 ablation drivers, and the
+# analysis layers: VRP over the ref kernels and VRS selection over held
+# ref-kernel profiles on the sweep grid.
 #
 #   scripts/bench_sim.sh              # default: 3 timed iterations, 3 samples
 #   BENCHTIME=1x COUNT=1 scripts/bench_sim.sh # quick smoke
@@ -16,7 +18,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkEmuMIPS|BenchmarkMachineSetup|BenchmarkCaptureMIPS|BenchmarkTraceReplayMIPS|BenchmarkUarchReplayMIPS|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep|BenchmarkAblationOpcodeSets|BenchmarkAblationAnalysis'
+BENCHES='BenchmarkEmuMIPS|BenchmarkMachineSetup|BenchmarkCaptureMIPS|BenchmarkTraceReplayMIPS|BenchmarkUarchReplayMIPS|BenchmarkFigure3Matrix|BenchmarkFigureFamilyMatrix|BenchmarkThresholdSweep|BenchmarkAblationOpcodeSets|BenchmarkAblationAnalysis|BenchmarkVRPAnalyze|BenchmarkVRSSelect'
 
 # Run the benchmarks to a temp file first so a failing run aborts the
 # script (POSIX sh has no pipefail) instead of overwriting the committed
